@@ -6,7 +6,7 @@
 //                  [--noniid] [--staleness none|severe|slight]
 //                  [--policy compensate|use|throw]
 //                  [--checkpoint PATH] [--genotype-out PATH] [--seed N]
-//                  [--trace-jsonl PATH] [--metrics-csv PATH]
+//                  [--trace-jsonl PATH] [--metrics-csv PATH] [--threads N]
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -33,7 +33,7 @@ const char* kUsage =
     "                      [--noniid] [--staleness none|severe|slight]\n"
     "                      [--policy compensate|use|throw]\n"
     "                      [--checkpoint PATH] [--genotype-out PATH]\n"
-    "                      [--dot-out PATH] [--seed N]\n"
+    "                      [--dot-out PATH] [--seed N] [--threads N]\n"
     "                      [--trace-jsonl PATH] [--metrics-csv PATH]\n"
     "                      [--progress-every N] [--profile]\n"
     "                      [--fault-plan SPEC|severe] [--quorum Q]\n"
@@ -43,6 +43,11 @@ const char* kUsage =
     "                      [--winsorize-rewards K] [--baseline-mode MODE]\n"
     "                      [--adaptive-screen K] [--churn-plan SPEC]\n"
     "                      [--adaptive-timeout] [--max-degrade-mode N]\n"
+    "\n"
+    "  --threads N           worker threads that train a round's participants\n"
+    "                        in parallel (0 = all cores, the default; capped\n"
+    "                        at --participants). Results are bit-identical\n"
+    "                        for every N\n"
     "\n"
     "fault flags:\n"
     "  --fault-plan SPEC     comma 'key=value' fault schedule (or 'severe'),\n"
@@ -151,6 +156,7 @@ int main(int argc, char** argv) {
   std::string churn_plan_spec;
   bool adaptive_timeout = false;
   int max_degrade_mode = 0;
+  int threads = 0;
 
   for (int i = 1; i < argc; ++i) {
     auto need_value = [&](const char* flag) -> const char* {
@@ -219,6 +225,8 @@ int main(int argc, char** argv) {
       peak_cache = need_value("--peak-cache");
     } else if (const char* v9 = eq_value("--peak-cache")) {
       peak_cache = v9;
+    } else if (!std::strcmp(argv[i], "--threads")) {
+      threads = std::atoi(need_value("--threads"));
     } else if (!std::strcmp(argv[i], "--seed")) {
       seed = static_cast<std::uint64_t>(std::atoll(need_value("--seed")));
     } else if (!std::strcmp(argv[i], "--fault-plan")) {
@@ -266,7 +274,7 @@ int main(int argc, char** argv) {
   if (participants < 1 || rounds < 0 || warmup < 0 || quorum <= 0.0 ||
       quorum > 1.0 || timeout_s < 0.0 || checkpoint_every < 0 ||
       winsorize_k < 0.0 || adaptive_screen_k < 0.0 || flight_recorder < 0 ||
-      max_degrade_mode < 0 || max_degrade_mode > 3 ||
+      max_degrade_mode < 0 || max_degrade_mode > 3 || threads < 0 ||
       (baseline_mode != "mean" && baseline_mode != "median")) {
     std::fprintf(stderr, "invalid arguments\n%s", kUsage);
     return 2;
@@ -311,6 +319,7 @@ int main(int argc, char** argv) {
   cfg.schedule.batch_size = 16;
   cfg.schedule.num_participants = participants;
   cfg.seed = seed;
+  cfg.threads = threads;
   // Telemetry: console progress always on (replacing the old on_round
   // lambda); JSONL trace and metrics CSV snapshot when requested.
   cfg.telemetry.enabled = true;

@@ -108,6 +108,11 @@ struct SearchConfig {
   AugmentConfig augment;
   TelemetryConfig telemetry;
   std::uint64_t seed = 42;
+  // Worker threads for the train stage of a round (participants train in
+  // parallel); 0 = hardware concurrency. Capped at the participant count.
+  // Results are bit-identical for every value, so it is a runtime knob,
+  // not part of any checkpoint or journal.
+  int threads = 0;
 };
 
 // Returns a config scaled by the FMS_SCALE environment variable (>=1

@@ -1,8 +1,17 @@
 // Minimal fixed-size thread pool.
 //
-// Participant-local training steps are independent and can run in
-// parallel; on single-core hosts the pool degrades gracefully to one
-// worker. parallel_for is the only API the library uses.
+// Participant-local training steps are independent and run in parallel
+// on the pool FederatedSearch owns (the train stage of a staged round);
+// on single-core hosts the pool degrades gracefully to one worker, which
+// runs every task inline on the caller. parallel_for is the only API the
+// library uses.
+//
+// Tasks re-open the submitting thread's profiler zone path before they
+// run (src/obs/profile.h), so a zone entered on a worker merges under the
+// zone that was open where the work was submitted. With allocation
+// tracking on, each task keeps its own allocation ledger, folded in index
+// order after the join, so peak_live_bytes does not depend on scheduling
+// (src/obs/alloc.h).
 //
 // Locking discipline is compile-time-checked via the thread-safety
 // annotations (src/common/thread_annotations.h): tasks_ and stopping_
@@ -12,6 +21,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -19,6 +29,8 @@
 #include <vector>
 
 #include "src/common/thread_annotations.h"
+#include "src/obs/alloc.h"
+#include "src/obs/profile.h"
 
 namespace fms {
 
@@ -45,27 +57,40 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  // Runs fn(i) for i in [0, n); blocks until all complete. Exceptions from
-  // tasks propagate as the first one captured.
+  // Runs fn(i) for i in [0, n); blocks until all complete. When tasks
+  // throw, the exception of the lowest failing index propagates — the
+  // same one a serial loop would raise, whatever the scheduling.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
     if (n == 0) return;
     if (workers_.size() == 1 || n == 1) {
       for (std::size_t i = 0; i < n; ++i) fn(i);
       return;
     }
+    const std::vector<const char*> zone_path = obs::current_zone_path();
+    const bool track_allocs = obs::alloc_tracking_enabled();
+    const std::int64_t live_before =
+        track_allocs ? obs::alloc_stats().live_bytes : 0;
+    std::vector<obs::TaskAlloc> allocs(track_allocs ? n : 0);
     // Completion state is local to this call, shared only with the task
     // lambdas below — a plain mutex is fine (no annotatable members).
     std::mutex done_mu;
     std::condition_variable done_cv;
     std::size_t remaining = n;
-    std::exception_ptr first_error;
+    std::size_t error_index = n;
+    std::exception_ptr error;
     for (std::size_t i = 0; i < n; ++i) {
       submit([&, i] {
         try {
+          const obs::ZonePathScope zones(zone_path);
+          const obs::AllocTaskScope alloc_scope(track_allocs ? &allocs[i]
+                                                             : nullptr);
           fn(i);
         } catch (...) {
           std::lock_guard<std::mutex> lock(done_mu);
-          if (!first_error) first_error = std::current_exception();
+          if (i < error_index) {
+            error_index = i;
+            error = std::current_exception();
+          }
         }
         std::lock_guard<std::mutex> lock(done_mu);
         if (--remaining == 0) done_cv.notify_one();
@@ -73,7 +98,8 @@ class ThreadPool {
     }
     std::unique_lock<std::mutex> lock(done_mu);
     done_cv.wait(lock, [&] { return remaining == 0; });
-    if (first_error) std::rethrow_exception(first_error);
+    if (track_allocs) obs::fold_task_peaks(live_before, allocs);
+    if (error) std::rethrow_exception(error);
   }
 
  private:

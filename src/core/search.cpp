@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "src/common/serialize.h"
@@ -30,6 +31,69 @@ namespace {
 // ledger grew the uplink counter): older blobs fail the magic check
 // instead of misparsing a shifted layout.
 constexpr std::uint32_t kRuntimeMagic = 0x464d5334;  // "FMS4"
+
+// Cohort selection: the live fleet, or — under a cohort shrink (degrade
+// != nullptr, mode >= shrink_cohort) — only its fastest cohort_fraction,
+// ranked by the raw modeled download latency (the bandwidth the server
+// just measured), ties broken by id. Deterministic, no RNG draw.
+std::vector<char> select_cohort(const ClientRegistry::RoundMembership& mem,
+                                const std::vector<double>& latency,
+                                const DegradeConfig* degrade) {
+  std::vector<char> in_cohort(mem.live_mask.begin(), mem.live_mask.end());
+  if (degrade == nullptr || mem.live == 0) return in_cohort;
+  std::vector<std::pair<double, int>> order;
+  order.reserve(static_cast<std::size_t>(mem.live));
+  for (std::size_t i = 0; i < in_cohort.size(); ++i) {
+    if (in_cohort[i] != 0) order.emplace_back(latency[i], static_cast<int>(i));
+  }
+  std::sort(order.begin(), order.end());
+  int keep = static_cast<int>(
+      std::ceil(degrade->cohort_fraction * static_cast<double>(mem.live)));
+  keep = std::max(keep, std::min(degrade->min_cohort, mem.live));
+  keep = std::min(keep, mem.live);
+  for (std::size_t o = static_cast<std::size_t>(keep); o < order.size(); ++o) {
+    in_cohort[static_cast<std::size_t>(order[o].second)] = 0;
+  }
+  return in_cohort;
+}
+
+// Adaptive screening: tighten the norm cutoff to median + k*MAD of the
+// round's arrivals (robust location/scale, so up to half the fleet lying
+// cannot widen the bound) when enough updates arrived; otherwise the
+// fixed cap applies. The bound never exceeds the cap.
+float screen_bound_for(const std::vector<UpdateMsg>& arrivals,
+                       const SearchOptions& opts) {
+  if (!opts.screen_updates || !opts.adaptive_screen) {
+    return opts.screen_max_grad_norm;
+  }
+  std::vector<double> norms;
+  norms.reserve(arrivals.size());
+  for (const UpdateMsg& u : arrivals) {
+    double sq = 0.0;
+    for (float g : u.grads) sq += static_cast<double>(g) * g;
+    const double norm = std::sqrt(sq);
+    if (std::isfinite(norm)) norms.push_back(norm);
+  }
+  return static_cast<float>(agg::adaptive_norm_bound(
+      norms, opts.adaptive_screen_k, opts.adaptive_screen_min,
+      static_cast<double>(opts.screen_max_grad_norm)));
+}
+
+// Work of the mean path's masked scatter (its agg.mean estimator): one add
+// per scattered element plus one scale per theta coordinate.
+obs::OpCost scatter_mean_cost(const std::vector<std::vector<float>>& grads,
+                              const std::vector<Param*>& params) {
+  std::uint64_t scattered = 0;
+  for (const std::vector<float>& g : grads) scattered += g.size();
+  std::uint64_t dim = 0;
+  for (const Param* p : params) dim += p->grad.numel();
+  obs::OpCost cost;
+  cost.flops = scattered + dim;
+  cost.bytes_read = 4 * scattered;
+  cost.bytes_written = 4 * dim;
+  cost.elements = dim;
+  return cost;
+}
 
 }  // namespace
 
@@ -65,6 +129,17 @@ FederatedSearch::FederatedSearch(const SearchConfig& cfg,
         static_cast<NetEnvironment>(k % kNumNetEnvironments), rng_.fork());
   }
   registry_ = ClientRegistry(static_cast<int>(partition.size()));
+}
+
+ThreadPool& FederatedSearch::train_pool() {
+  if (!train_pool_) {
+    const std::size_t threads =
+        cfg_.threads > 0 ? static_cast<std::size_t>(cfg_.threads)
+                         : std::max(1U, std::thread::hardware_concurrency());
+    train_pool_ =
+        std::make_unique<ThreadPool>(std::min(threads, participants_.size()));
+  }
+  return *train_pool_;
 }
 
 FederatedSearch::~FederatedSearch() {
@@ -267,41 +342,11 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
     }
   }
 
-  // --- cohort selection (degradation mode >= shrink_cohort): dispatch
-  // only to the fastest cohort_fraction of the live fleet, ranked by the
-  // raw modeled download latency (the bandwidth the server just measured),
-  // ties broken by id — deterministic, no RNG draw.
-  std::vector<char> in_cohort(static_cast<std::size_t>(k), 0);
-  {
-    for (int i = 0; i < k; ++i) {
-      in_cohort[static_cast<std::size_t>(i)] =
-          mem.live_mask[static_cast<std::size_t>(i)];
-    }
-    if (mode >= DegradeMode::kShrinkCohort && mem.live > 0) {
-      std::vector<std::pair<double, int>> order;
-      order.reserve(static_cast<std::size_t>(mem.live));
-      for (int i = 0; i < k; ++i) {
-        if (mem.live_mask[static_cast<std::size_t>(i)] != 0) {
-          order.emplace_back(lat.per_participant[static_cast<std::size_t>(i)],
-                             i);
-        }
-      }
-      std::sort(order.begin(), order.end());
-      int keep = static_cast<int>(
-          std::ceil(opts.degrade.cohort_fraction *
-                    static_cast<double>(mem.live)));
-      keep = std::max(keep, std::min(opts.degrade.min_cohort, mem.live));
-      keep = std::min(keep, mem.live);
-      for (std::size_t o = static_cast<std::size_t>(keep); o < order.size();
-           ++o) {
-        in_cohort[static_cast<std::size_t>(order[o].second)] = 0;
-      }
-    }
-  }
-  rec.cohort = 0;
-  for (int i = 0; i < k; ++i) {
-    if (in_cohort[static_cast<std::size_t>(i)] != 0) ++rec.cohort;
-  }
+  const std::vector<char> in_cohort = select_cohort(
+      mem, lat.per_participant,
+      mode >= DegradeMode::kShrinkCohort ? &opts.degrade : nullptr);
+  rec.cohort = static_cast<int>(std::count_if(
+      in_cohort.begin(), in_cohort.end(), [](char c) { return c != 0; }));
   rec.shed = mem.live - rec.cohort;
 
   // --- quorum commit (defense): close the round at the ceil(q*K)-th
@@ -373,6 +418,27 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
   auto account_payload_drop = [&](const std::optional<FaultKind>& pf) {
     if (pf.has_value()) ++fault_stats_.dropped;
   };
+  // Clients pass three stages. Dispatch (sequential) takes every RNG,
+  // staleness, fault, registry and byte-accounting step in participant
+  // order. Train runs the dispatched train_steps on the pool; each task
+  // writes only its own slot, and a train step is a pure function of its
+  // participant's state and message, so the round is bit-identical for
+  // any thread count. Arrive (sequential, participant order) runs the
+  // upload path. Tracing parks the dispatch stage's events and publishes
+  // them per participant in the arrive stage: the recorded order is the
+  // one a serial round produces.
+  struct Dispatched {
+    int participant = 0;
+    int tau_draw = 0;
+    std::optional<FaultKind> pf;   // payload fault on this update
+    std::optional<FaultKind> byz;  // Byzantine attack this client runs
+    SubmodelMsg msg;
+    UpdateMsg upd;  // written by the train stage
+  };
+  std::vector<Dispatched> sent;
+  sent.reserve(static_cast<std::size_t>(k));
+  std::optional<obs::DeferredEvents> deferred;
+  if (tracing) deferred.emplace(k);
   for (int i = 0; i < k; ++i) {
     const auto ui = static_cast<std::size_t>(i);
     // Staleness draws happen for every participant — even offline or
@@ -441,15 +507,12 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
     // which FMS_WERROR would promote to a build break.
     const bool pf_corrupt =
         pf.has_value() && *pf == FaultKind::kCorruptPayload;
-    const bool pf_divergent = pf.has_value() && *pf == FaultKind::kDivergent;
     // Byzantine attack this client runs, if any. Skipped when a payload
     // fault already fires: that update is destroyed anyway, and counting
     // both would double-book an update that resolves exactly once.
     const std::optional<FaultKind> byz =
         faults && !pf.has_value() ? injector.byzantine_kind(i, t)
                                   : std::nullopt;
-    // The fault attached to this update for exactly-once accounting.
-    const std::optional<FaultKind> uf = pf.has_value() ? pf : byz;
 
     const Mask& mask = masks[static_cast<std::size_t>(assignment[i])];
     SubmodelMsg msg;
@@ -479,8 +542,29 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
                    static_cast<double>(down));
     }
     registry_.note_dispatch(i, latency[ui]);
+    sent.push_back(Dispatched{i, tau_draw, pf, byz, std::move(msg), {}});
+  }
 
-    UpdateMsg upd = participants_[ui]->train_step(msg);
+  train_pool().parallel_for(sent.size(), [&](std::size_t j) {
+    Dispatched& d = sent[j];
+    d.upd = participants_[static_cast<std::size_t>(d.participant)]
+                ->train_step(d.msg);
+  });
+  deferred.reset();
+
+  auto next = sent.begin();
+  for (int i = 0; i < k; ++i) {
+    if (tracing) trace.publish_deferred(i);
+    if (next == sent.end() || next->participant != i) continue;
+    Dispatched& d = *next++;
+    const auto ui = static_cast<std::size_t>(i);
+    UpdateMsg& upd = d.upd;
+    const bool pf_corrupt =
+        d.pf.has_value() && *d.pf == FaultKind::kCorruptPayload;
+    const bool pf_divergent =
+        d.pf.has_value() && *d.pf == FaultKind::kDivergent;
+    // The fault attached to this update for exactly-once accounting.
+    const std::optional<FaultKind> uf = d.pf.has_value() ? d.pf : d.byz;
     if (tracing) {
       // Local training lands at the end of the modeled download window;
       // value carries the reported training accuracy.
@@ -495,22 +579,9 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
       injector.poison(upd, i, t);
     } else if (pf_corrupt) {
       injector.corrupt(upd.grads, i, t);
-    } else if (byz.has_value()) {
-      switch (*byz) {
-        case FaultKind::kSignFlip:
-          ++fault_stats_.injected_sign_flip;
-          break;
-        case FaultKind::kGradScale:
-          ++fault_stats_.injected_grad_scale;
-          break;
-        case FaultKind::kCollude:
-          ++fault_stats_.injected_collude;
-          break;
-        default:
-          ++fault_stats_.injected_reward;
-          break;
-      }
-      injector.attack(upd, *byz, i, t);
+    } else if (d.byz.has_value()) {
+      fault_stats_.note_attack(*d.byz);
+      injector.attack(upd, *d.byz, i, t);
     }
     if (tracing && uf.has_value()) {
       trace.record(i, obs::Stage::kFault, latency[ui], 0.0, 0.0,
@@ -562,7 +633,7 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
       deadline_est_.add_sample(arrive_s, opts.adaptive_timeout.window);
     }
 
-    int tau = tau_draw;
+    int tau = d.tau_draw;
     if (soft_sync && mem.rejoined[ui] != 0 && tau != kExceedsThreshold) {
       // A rejoining client trained against the state it last saw: its
       // first update back flows through the staleness/DC path rather
@@ -621,24 +692,7 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
                   : nullptr;
     auto due = arrivals_.find(t);
     if (due != arrivals_.end()) {
-      // Adaptive screening: tighten the norm cutoff to median + k*MAD of
-      // this round's arrivals (robust location/scale, so up to half the
-      // fleet lying cannot widen the bound) when enough updates arrived;
-      // otherwise the fixed cap applies. The bound never exceeds the cap.
-      float screen_bound = opts.screen_max_grad_norm;
-      if (opts.screen_updates && opts.adaptive_screen) {
-        std::vector<double> norms;
-        norms.reserve(due->second.size());
-        for (const UpdateMsg& u : due->second) {
-          double sq = 0.0;
-          for (float g : u.grads) sq += static_cast<double>(g) * g;
-          const double norm = std::sqrt(sq);
-          if (std::isfinite(norm)) norms.push_back(norm);
-        }
-        screen_bound = static_cast<float>(agg::adaptive_norm_bound(
-            norms, opts.adaptive_screen_k, opts.adaptive_screen_min,
-            static_cast<double>(opts.screen_max_grad_norm)));
-      }
+      const float screen_bound = screen_bound_for(due->second, opts);
       if (opts.screen_updates) rec.screen_bound = screen_bound;
       for (UpdateMsg& upd : due->second) {
         const int tau = t - upd.round;
@@ -788,25 +842,8 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
         // Eq. 13 exactly, preserving the pre-robustness float-op order:
         // scatter each accepted gradient in arrival order, then scale by
         // 1/m — bit-identical to the legacy in-loop scatter.
-        // The masked scatter is this path's mean estimator, so it books
-        // the agg.mean work: one add per scattered element plus one
-        // scale per theta coordinate.
-        FMS_WORK("agg.mean", [&] {
-          std::uint64_t scattered = 0;
-          for (const std::vector<float>& g : applied_grads) {
-            scattered += g.size();
-          }
-          std::uint64_t dim = 0;
-          for (const Param* p : supernet_->params()) {
-            dim += p->grad.vec().size();
-          }
-          obs::OpCost cost;
-          cost.flops = scattered + dim;
-          cost.bytes_read = 4 * scattered;
-          cost.bytes_written = 4 * dim;
-          cost.elements = dim;
-          return cost;
-        }());
+        FMS_WORK("agg.mean",
+                 scatter_mean_cost(applied_grads, supernet_->params()));
         for (std::size_t u = 0; u < applied_grads.size(); ++u) {
           supernet_->scatter_add_grads(applied_ids[u], applied_grads[u]);
           if (tracing) {

@@ -20,6 +20,7 @@
 #include "src/agg/aggregator.h"
 #include "src/common/config.h"
 #include "src/common/stats.h"
+#include "src/common/thread_pool.h"
 #include "src/core/checkpoint.h"
 #include "src/core/deadline.h"
 #include "src/core/journal.h"
@@ -225,6 +226,7 @@ class FederatedSearch {
 
  private:
   RoundRecord run_round(int t, const SearchOptions& opts);
+  ThreadPool& train_pool();
   void record_round_telemetry(const RoundRecord& rec, const SearchOptions& opts,
                               const FaultStats& before);
   std::vector<std::uint8_t> serialize_runtime_state() const;
@@ -246,6 +248,11 @@ class FederatedSearch {
   ArchPolicy policy_;
   SGD theta_opt_;
   std::vector<std::unique_ptr<SearchParticipant>> participants_;
+  // Runs the train stage of every round: one task per dispatched
+  // participant (cfg.threads workers, capped at the participant count).
+  // Created by the first round, so a search built only to restore or
+  // inspect state starts no threads.
+  std::unique_ptr<ThreadPool> train_pool_;
   std::vector<BandwidthTrace> traces_;
   bool owns_telemetry_ = false;  // true when the ctor configured the sinks
   std::unique_ptr<obs::HealthMonitor> health_;

@@ -185,6 +185,16 @@ struct FaultStats {
            injected_byzantine();
   }
   std::uint64_t accounted() const { return rejected + dropped + recovered; }
+
+  // Books one injected Byzantine attack under its kind.
+  void note_attack(FaultKind kind) {
+    switch (kind) {
+      case FaultKind::kSignFlip: ++injected_sign_flip; break;
+      case FaultKind::kGradScale: ++injected_grad_scale; break;
+      case FaultKind::kCollude: ++injected_collude; break;
+      default: ++injected_reward; break;
+    }
+  }
 };
 
 class FaultInjector {

@@ -164,6 +164,8 @@ std::pair<Tensor, Tensor> Cell::finish_backward(
   Tensor g0 = pre0_->backward(grad_states[0]);
   Tensor g1 = pre1_->backward(grad_states[1]);
   has_cache_ = false;
+  states_.clear();
+  mixed_outputs_.clear();
   return {std::move(g0), std::move(g1)};
 }
 

@@ -75,6 +75,7 @@ std::pair<Tensor, Tensor> DiscreteCell::backward(const Tensor& grad_out) {
   Tensor g0 = pre0_->backward(grad_states[0]);
   Tensor g1 = pre1_->backward(grad_states[1]);
   has_cache_ = false;
+  states_.clear();
   return {std::move(g0), std::move(g1)};
 }
 

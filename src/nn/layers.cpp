@@ -1,6 +1,7 @@
 #include "src/nn/layers.h"
 
 #include <cmath>
+#include <utility>
 
 #include "src/obs/profile.h"
 #include "src/obs/work.h"
@@ -26,12 +27,8 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, Conv2dSpec spec,
 Tensor Conv2d::forward(const Tensor& x, bool train) {
   FMS_PROFILE_ZONE("nn.conv_fwd");
   FMS_PROFILE_BYTES(x.numel() * sizeof(float));
-  if (train) {
-    cached_x_ = x;
-    has_cache_ = true;
-  } else {
-    has_cache_ = false;
-  }
+  cached_x_ = train ? x : Tensor();
+  has_cache_ = train;
   Tensor y = conv2d_forward(x, w_.value, spec_);
   FMS_WORK("nn.conv_fwd",
            obs::conv2d_fwd_cost(sz(x.dim(0)), sz(x.dim(1)), sz(x.dim(2)),
@@ -46,11 +43,12 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   FMS_PROFILE_ZONE("nn.conv_bwd");
   FMS_PROFILE_BYTES(grad_out.numel() * sizeof(float));
   FMS_CHECK_MSG(has_cache_, "Conv2d::backward without train-mode forward");
-  Conv2dGrads g = conv2d_backward(cached_x_, w_.value, grad_out, spec_);
+  has_cache_ = false;
+  const Tensor x = std::move(cached_x_);
+  Conv2dGrads g = conv2d_backward(x, w_.value, grad_out, spec_);
   FMS_WORK("nn.conv_bwd",
            obs::conv2d_bwd_cost(
-               sz(cached_x_.dim(0)), sz(cached_x_.dim(1)),
-               sz(cached_x_.dim(2)), sz(cached_x_.dim(3)),
+               sz(x.dim(0)), sz(x.dim(1)), sz(x.dim(2)), sz(x.dim(3)),
                sz(w_.value.dim(0)), sz(w_.value.dim(2)),
                sz(w_.value.dim(3)), sz(grad_out.dim(2)),
                sz(grad_out.dim(3)), sz(spec_.groups)));
@@ -77,7 +75,6 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const std::size_t m = static_cast<std::size_t>(n) * h * w;
   Tensor y(x.shape());
   if (train) {
-    cached_x_ = x;
     cached_xhat_ = Tensor(x.shape());
     cached_inv_std_.assign(static_cast<std::size_t>(c), 0.0F);
     for (int ic = 0; ic < c; ++ic) {
@@ -116,6 +113,8 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
     has_cache_ = true;
   } else {
     has_cache_ = false;
+    cached_xhat_ = Tensor();
+    cached_inv_std_.clear();
     for (int ic = 0; ic < c; ++ic) {
       const float mean = running_mean_[static_cast<std::size_t>(ic)];
       const float inv_std =
@@ -137,11 +136,14 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   FMS_PROFILE_ZONE("nn.bn_bwd");
   FMS_PROFILE_BYTES(grad_out.numel() * sizeof(float));
   FMS_CHECK_MSG(has_cache_, "BatchNorm2d::backward without train forward");
-  const Tensor& x = cached_x_;
-  const int n = x.dim(0), c = channels_, h = x.dim(2), w = x.dim(3);
+  has_cache_ = false;
+  const Tensor xhat = std::move(cached_xhat_);
+  const std::vector<float> inv_stds = std::move(cached_inv_std_);
+  cached_inv_std_.clear();
+  const int n = xhat.dim(0), c = channels_, h = xhat.dim(2), w = xhat.dim(3);
   FMS_WORK("nn.bn_bwd", obs::batchnorm_bwd_cost(sz(n), sz(c), sz(h), sz(w)));
   const double m = static_cast<double>(n) * h * w;
-  Tensor grad_x(x.shape());
+  Tensor grad_x(xhat.shape());
   for (int ic = 0; ic < c; ++ic) {
     double sum_gy = 0.0, sum_gy_xhat = 0.0;
     for (int in = 0; in < n; ++in)
@@ -149,22 +151,22 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
         for (int iw = 0; iw < w; ++iw) {
           const double gy = grad_out.at4(in, ic, ih, iw);
           sum_gy += gy;
-          sum_gy_xhat += gy * cached_xhat_.at4(in, ic, ih, iw);
+          sum_gy_xhat += gy * xhat.at4(in, ic, ih, iw);
         }
     gamma_.grad[static_cast<std::size_t>(ic)] +=
         static_cast<float>(sum_gy_xhat);
     beta_.grad[static_cast<std::size_t>(ic)] += static_cast<float>(sum_gy);
     const float g = gamma_.value[static_cast<std::size_t>(ic)];
-    const float inv_std = cached_inv_std_[static_cast<std::size_t>(ic)];
+    const float inv_std = inv_stds[static_cast<std::size_t>(ic)];
     const float mean_gy = static_cast<float>(sum_gy / m);
     const float mean_gy_xhat = static_cast<float>(sum_gy_xhat / m);
     for (int in = 0; in < n; ++in)
       for (int ih = 0; ih < h; ++ih)
         for (int iw = 0; iw < w; ++iw) {
           const float gy = grad_out.at4(in, ic, ih, iw);
-          const float xhat = cached_xhat_.at4(in, ic, ih, iw);
+          const float xh = xhat.at4(in, ic, ih, iw);
           grad_x.at4(in, ic, ih, iw) =
-              g * inv_std * (gy - mean_gy - xhat * mean_gy_xhat);
+              g * inv_std * (gy - mean_gy - xh * mean_gy_xhat);
         }
   }
   return grad_x;
@@ -173,12 +175,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
 Tensor ReLU::forward(const Tensor& x, bool train) {
   FMS_PROFILE_ZONE("nn.relu_fwd");
   FMS_WORK("nn.relu_fwd", obs::relu_fwd_cost(x.numel()));
-  if (train) {
-    cached_x_ = x;
-    has_cache_ = true;
-  } else {
-    has_cache_ = false;
-  }
+  cached_x_ = train ? x : Tensor();
+  has_cache_ = train;
   return relu_forward(x);
 }
 
@@ -186,7 +184,9 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   FMS_PROFILE_ZONE("nn.relu_bwd");
   FMS_WORK("nn.relu_bwd", obs::relu_bwd_cost(grad_out.numel()));
   FMS_CHECK_MSG(has_cache_, "ReLU::backward without train-mode forward");
-  return relu_backward(cached_x_, grad_out);
+  has_cache_ = false;
+  const Tensor x = std::move(cached_x_);
+  return relu_backward(x, grad_out);
 }
 
 Tensor MaxPool2d::forward(const Tensor& x, bool train) {
@@ -194,32 +194,29 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   MaxPoolResult res = maxpool2d_forward(x, kernel_, stride_, padding_);
   FMS_WORK("nn.maxpool_fwd",
            obs::maxpool_fwd_cost(x.numel(), res.y.numel(), sz(kernel_)));
-  if (train) {
-    cached_x_ = x;
-    cached_ = res;
-    has_cache_ = true;
-  } else {
-    has_cache_ = false;
-  }
-  return res.y;
+  cached_x_ = train ? x : Tensor();
+  cached_argmax_ = train ? std::move(res.argmax) : std::vector<std::size_t>();
+  has_cache_ = train;
+  return std::move(res.y);
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
   FMS_PROFILE_ZONE("nn.maxpool_bwd");
-  FMS_WORK("nn.maxpool_bwd",
-           obs::maxpool_bwd_cost(cached_x_.numel(), grad_out.numel()));
   FMS_CHECK_MSG(has_cache_, "MaxPool2d::backward without train forward");
-  return maxpool2d_backward(cached_x_, cached_, grad_out);
+  has_cache_ = false;
+  const Tensor x = std::move(cached_x_);
+  MaxPoolResult fwd;
+  fwd.argmax = std::move(cached_argmax_);
+  cached_argmax_.clear();
+  FMS_WORK("nn.maxpool_bwd",
+           obs::maxpool_bwd_cost(x.numel(), grad_out.numel()));
+  return maxpool2d_backward(x, fwd, grad_out);
 }
 
 Tensor AvgPool2d::forward(const Tensor& x, bool train) {
   FMS_PROFILE_ZONE("nn.avgpool_fwd");
-  if (train) {
-    cached_x_ = x;
-    has_cache_ = true;
-  } else {
-    has_cache_ = false;
-  }
+  cached_x_ = train ? x : Tensor();
+  has_cache_ = train;
   Tensor y = avgpool2d_forward(x, kernel_, stride_, padding_);
   FMS_WORK("nn.avgpool_fwd",
            obs::avgpool_fwd_cost(x.numel(), y.numel(), sz(kernel_)));
@@ -228,11 +225,12 @@ Tensor AvgPool2d::forward(const Tensor& x, bool train) {
 
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
   FMS_PROFILE_ZONE("nn.avgpool_bwd");
-  FMS_WORK("nn.avgpool_bwd",
-           obs::avgpool_bwd_cost(cached_x_.numel(), grad_out.numel(),
-                                 sz(kernel_)));
   FMS_CHECK_MSG(has_cache_, "AvgPool2d::backward without train forward");
-  return avgpool2d_backward(cached_x_, grad_out, kernel_, stride_, padding_);
+  has_cache_ = false;
+  const Tensor x = std::move(cached_x_);
+  FMS_WORK("nn.avgpool_bwd",
+           obs::avgpool_bwd_cost(x.numel(), grad_out.numel(), sz(kernel_)));
+  return avgpool2d_backward(x, grad_out, kernel_, stride_, padding_);
 }
 
 Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
@@ -240,23 +238,20 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
   FMS_WORK("nn.gap_fwd",
            obs::global_avgpool_fwd_cost(sz(x.dim(0)), sz(x.dim(1)),
                                         sz(x.dim(2)), sz(x.dim(3))));
-  if (train) {
-    cached_x_ = x;
-    has_cache_ = true;
-  } else {
-    has_cache_ = false;
-  }
+  cached_x_ = train ? x : Tensor();
+  has_cache_ = train;
   return global_avgpool_forward(x);
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   FMS_PROFILE_ZONE("nn.gap_bwd");
   FMS_CHECK_MSG(has_cache_, "GlobalAvgPool::backward without train forward");
+  has_cache_ = false;
+  const Tensor x = std::move(cached_x_);
   FMS_WORK("nn.gap_bwd",
-           obs::global_avgpool_bwd_cost(
-               sz(cached_x_.dim(0)), sz(cached_x_.dim(1)),
-               sz(cached_x_.dim(2)), sz(cached_x_.dim(3))));
-  return global_avgpool_backward(cached_x_, grad_out);
+           obs::global_avgpool_bwd_cost(sz(x.dim(0)), sz(x.dim(1)),
+                                        sz(x.dim(2)), sz(x.dim(3))));
+  return global_avgpool_backward(x, grad_out);
 }
 
 Linear::Linear(int in_features, int out_features, Rng& rng) {
@@ -271,12 +266,8 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   FMS_WORK("nn.linear_fwd",
            obs::linear_fwd_cost(sz(x.dim(0)), sz(x.dim(1)),
                                 sz(w_.value.dim(0))));
-  if (train) {
-    cached_x_ = x;
-    has_cache_ = true;
-  } else {
-    has_cache_ = false;
-  }
+  cached_x_ = train ? x : Tensor();
+  has_cache_ = train;
   Tensor y = matmul_nt(x, w_.value);  // [N, out]
   const int n = y.dim(0), out = y.dim(1);
   for (int i = 0; i < n; ++i)
@@ -288,11 +279,13 @@ Tensor Linear::forward(const Tensor& x, bool train) {
 Tensor Linear::backward(const Tensor& grad_out) {
   FMS_PROFILE_ZONE("nn.linear_bwd");
   FMS_CHECK_MSG(has_cache_, "Linear::backward without train-mode forward");
+  has_cache_ = false;
+  const Tensor x = std::move(cached_x_);
   FMS_WORK("nn.linear_bwd",
            obs::linear_bwd_cost(sz(grad_out.dim(0)), sz(w_.value.dim(1)),
                                 sz(w_.value.dim(0))));
   // grad_w = grad_out^T [N,out] x cached_x [N,in] -> [out,in]
-  w_.grad += matmul_tn(grad_out, cached_x_);
+  w_.grad += matmul_tn(grad_out, x);
   const int n = grad_out.dim(0), out = grad_out.dim(1);
   for (int j = 0; j < out; ++j) {
     float acc = 0.0F;

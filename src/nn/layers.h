@@ -54,8 +54,7 @@ class BatchNorm2d : public Module {
   // Running statistics (not learnable, but part of the model state).
   Tensor running_mean_;
   Tensor running_var_;
-  // Backward caches.
-  Tensor cached_x_;
+  // Backward caches (xhat also carries the input shape).
   Tensor cached_xhat_;
   std::vector<float> cached_inv_std_;
   bool has_cache_ = false;
@@ -88,7 +87,7 @@ class MaxPool2d : public Module {
  private:
   int kernel_, stride_, padding_;
   Tensor cached_x_;
-  MaxPoolResult cached_;
+  std::vector<std::size_t> cached_argmax_;
   bool has_cache_ = false;
 };
 

@@ -1,9 +1,12 @@
 // Layer abstraction with explicit forward/backward.
 //
-// Modules cache whatever the backward pass needs during forward(train=true);
-// calling backward() after an eval-mode forward is a programming error and
-// is checked. clone() performs a deep copy, which is how sub-models are
-// materialized from supernet operations.
+// Modules cache whatever the backward pass needs during forward(train=true),
+// and backward() consumes that cache: it releases the cached activations,
+// so a model holds only its parameters (and BatchNorm statistics) between
+// steps. Calling backward() after an eval-mode forward, or a second time
+// after one train forward, is a programming error and is checked. clone()
+// performs a deep copy, which is how sub-models are materialized from
+// supernet operations.
 #pragma once
 
 #include <memory>
@@ -30,7 +33,7 @@ class Module {
 
   virtual Tensor forward(const Tensor& x, bool train) = 0;
   // Returns gradient w.r.t. the input of the last forward(train=true) call;
-  // accumulates into parameter .grad fields.
+  // accumulates into parameter .grad fields and releases the forward cache.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
   // Appends pointers to all parameters (depth-first, deterministic order).

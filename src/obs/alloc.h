@@ -7,16 +7,23 @@
 // storage in the codebase — and cost one relaxed atomic load when
 // tracking is disabled.
 //
-// This header is deliberately dependency-free (atomics only) so the
-// tensor header can include it without pulling the rest of src/obs into
-// every translation unit.
+// This header is deliberately dependency-free (standard headers only) so
+// the tensor header can include it without pulling the rest of src/obs
+// into every translation unit.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace fms::obs {
+
+// Live-byte delta of one ThreadPool task and the highest it reached.
+struct TaskAlloc {
+  std::int64_t live = 0;
+  std::int64_t peak = 0;
+};
 
 namespace detail {
 inline std::atomic<bool>& alloc_tracking_flag() {
@@ -38,6 +45,20 @@ struct AllocCounters {
 inline AllocCounters& alloc_counters() {
   static AllocCounters counters;
   return counters;
+}
+
+// The task open on this thread, if any (see AllocTaskScope).
+inline TaskAlloc*& current_task_alloc() {
+  thread_local TaskAlloc* task = nullptr;
+  return task;
+}
+
+inline void raise_peak(std::int64_t live) {
+  std::atomic<std::int64_t>& peak = alloc_counters().peak_live_bytes;
+  std::int64_t seen = peak.load(std::memory_order_relaxed);
+  while (live > seen && !peak.compare_exchange_weak(
+                            seen, live, std::memory_order_relaxed)) {
+  }
 }
 }  // namespace detail
 
@@ -71,9 +92,11 @@ inline void track_alloc(std::size_t bytes) {
       c.live_bytes.fetch_add(static_cast<std::int64_t>(bytes),
                              std::memory_order_relaxed) +
       static_cast<std::int64_t>(bytes);
-  std::int64_t peak = c.peak_live_bytes.load(std::memory_order_relaxed);
-  while (live > peak && !c.peak_live_bytes.compare_exchange_weak(
-                            peak, live, std::memory_order_relaxed)) {
+  if (TaskAlloc* task = detail::current_task_alloc()) {
+    task->live += static_cast<std::int64_t>(bytes);
+    task->peak = task->live > task->peak ? task->live : task->peak;
+  } else {
+    detail::raise_peak(live);
   }
   profile_note_alloc(bytes);
 }
@@ -84,6 +107,38 @@ inline void track_free(std::size_t bytes) {
   c.frees.fetch_add(1, std::memory_order_relaxed);
   c.live_bytes.fetch_sub(static_cast<std::int64_t>(bytes),
                          std::memory_order_relaxed);
+  if (TaskAlloc* task = detail::current_task_alloc()) {
+    task->live -= static_cast<std::int64_t>(bytes);
+  }
+}
+
+// Routes this thread's allocations into `task` for the handle's lifetime.
+// ThreadPool::parallel_for opens one per task and, once all have joined,
+// calls fold_task_peaks: peak_live_bytes is then the peak of the serial
+// schedule (tasks in index order), the same for any thread count, rather
+// than an accident of how the workers interleaved.
+class AllocTaskScope {
+ public:
+  explicit AllocTaskScope(TaskAlloc* task)
+      : outer_(detail::current_task_alloc()) {
+    detail::current_task_alloc() = task;
+  }
+  AllocTaskScope(const AllocTaskScope&) = delete;
+  AllocTaskScope& operator=(const AllocTaskScope&) = delete;
+  ~AllocTaskScope() { detail::current_task_alloc() = outer_; }
+
+ private:
+  TaskAlloc* outer_;
+};
+
+// `live_before`: live_bytes when the tasks were submitted.
+inline void fold_task_peaks(std::int64_t live_before,
+                            const std::vector<TaskAlloc>& tasks) {
+  std::int64_t live = live_before;
+  for (const TaskAlloc& task : tasks) {
+    detail::raise_peak(live + task.peak);
+    live += task.live;
+  }
 }
 
 inline AllocStats alloc_stats() {

@@ -188,12 +188,12 @@ void flatten_merged(const MergedNode& node, const std::string& path,
 
 namespace detail {
 
-void zone_enter(const char* name) {
+void zone_enter(const char* name, bool count_call) {
   ThreadProfile& tp = thread_profile();
   const fms::MutexLock lock(tp.mu);
   const int parent = tp.stack.empty() ? 0 : tp.stack.back().node;
   const int idx = child_index(tp, parent, name);
-  tp.nodes[static_cast<std::size_t>(idx)].calls += 1;
+  if (count_call) tp.nodes[static_cast<std::size_t>(idx)].calls += 1;
   // Clock read last: zone time excludes the bookkeeping above.
   tp.stack.push_back(Frame{idx, thread_cpu_ns()});
 }
@@ -220,6 +220,18 @@ void zone_add_bytes(std::uint64_t bytes) {
 }
 
 }  // namespace detail
+
+std::vector<const char*> current_zone_path() {
+  std::vector<const char*> path;
+  if (!profiling_enabled()) return path;
+  ThreadProfile& tp = thread_profile();
+  const fms::MutexLock lock(tp.mu);
+  path.reserve(tp.stack.size());
+  for (const Frame& frame : tp.stack) {
+    path.push_back(tp.nodes[static_cast<std::size_t>(frame.node)].name);
+  }
+  return path;
+}
 
 void profile_note_alloc(std::size_t bytes) {
   if (!profiling_enabled()) return;

@@ -4,7 +4,10 @@
 //
 // FMS_PROFILE_ZONE("nn.conv_fwd") opens a zone for the enclosing scope;
 // nesting builds a per-thread tree (zones entered on ThreadPool workers
-// grow their own trees, merged deterministically at collection time).
+// grow their own trees, merged deterministically at collection time). A
+// pool task first re-opens the submitting thread's zone path
+// (ZonePathScope), so worker zones merge under the zone that submitted
+// them: round/local_train/... whether training ran inline or on a worker.
 // Time is per-thread CPU time (CLOCK_THREAD_CPUTIME_ID), so a zone's
 // cost is what *it* burned, not what it waited on.
 //
@@ -32,7 +35,8 @@ inline std::atomic<bool>& profiling_flag() {
 }
 
 // Out-of-line slow paths (profile.cpp); called only when profiling is on.
-void zone_enter(const char* name);
+// count_call = false re-enters a zone another thread already counted.
+void zone_enter(const char* name, bool count_call = true);
 void zone_exit();
 void zone_add_bytes(std::uint64_t bytes);
 }  // namespace detail
@@ -85,6 +89,34 @@ void emit_profile_telemetry(const ProfileReport& report);
 
 // Process peak resident set size in bytes (0 when unavailable).
 std::int64_t peak_rss_bytes();
+
+// The calling thread's open zones, outermost first; empty while
+// profiling is disabled.
+std::vector<const char*> current_zone_path();
+
+// Re-opens `path` (a current_zone_path() taken on another thread) on this
+// thread for the handle's lifetime. The re-opened zones take this
+// thread's CPU time, so inclusive and exclusive times stay consistent
+// after the merge, but count no calls: the submitting thread owns those.
+class ZonePathScope {
+ public:
+  explicit ZonePathScope(const std::vector<const char*>& path)
+      : depth_(profiling_enabled() ? path.size() : 0) {
+    for (std::size_t i = 0; i < depth_; ++i) {
+      detail::zone_enter(path[i], /*count_call=*/false);
+    }
+  }
+
+  ZonePathScope(const ZonePathScope&) = delete;
+  ZonePathScope& operator=(const ZonePathScope&) = delete;
+
+  ~ZonePathScope() {
+    for (std::size_t i = 0; i < depth_; ++i) detail::zone_exit();
+  }
+
+ private:
+  std::size_t depth_;
+};
 
 // RAII zone handle. `name` must outlive the profiler (string literal).
 class ScopedZone {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <utility>
@@ -91,6 +92,8 @@ void TraceContext::configure(bool enabled, std::uint64_t seed,
     chrome_path_ = std::move(chrome_path);
     flight_dump_path_ = std::move(flight_dump_path);
     events_.clear();
+    deferred_.clear();
+    deferring_ = false;
     base_s_ = 0.0;
     flight_ = flight_capacity > 0
                   ? std::make_shared<FlightRecorder>(flight_capacity)
@@ -134,8 +137,32 @@ void TraceContext::record(int participant, Stage stage, double offset_s,
   ev.ts_s = base_s_ + (std::isfinite(offset_s) ? offset_s : 0.0);
   ev.trace_id = make_trace_id(seed_, ev.origin_round);
   ev.span_id = make_span_id(ev.trace_id, participant, stage);
+  if (deferring_) {
+    deferred_.push_back(std::move(ev));
+  } else {
+    commit(std::move(ev));
+  }
+}
+
+void TraceContext::commit(LifecycleEvent&& ev) {
   if (flight_) flight_->record(ev);
   if (!chrome_path_.empty()) events_.push_back(std::move(ev));
+}
+
+void TraceContext::set_deferring(bool on) {
+  fms::MutexLock lock(mu_);
+  deferring_ = on;
+}
+
+void TraceContext::publish_deferred(int participant) {
+  fms::MutexLock lock(mu_);
+  auto parked = std::stable_partition(
+      deferred_.begin(), deferred_.end(),
+      [participant](const LifecycleEvent& ev) {
+        return ev.participant != participant;
+      });
+  for (auto it = parked; it != deferred_.end(); ++it) commit(std::move(*it));
+  deferred_.erase(parked, deferred_.end());
 }
 
 void TraceContext::export_chrome() const {
@@ -191,11 +218,26 @@ std::vector<LifecycleEvent> TraceContext::events_snapshot() const {
 void TraceContext::reset() {
   fms::MutexLock lock(mu_);
   events_.clear();
+  deferred_.clear();
+  deferring_ = false;
   flight_.reset();
   chrome_path_.clear();
   flight_dump_path_.clear();
   base_s_ = 0.0;
   round_.store(-1, std::memory_order_relaxed);
+}
+
+DeferredEvents::DeferredEvents(int participants)
+    : participants_(participants), uncaught_(std::uncaught_exceptions()) {
+  TraceContext::instance().set_deferring(true);
+}
+
+DeferredEvents::~DeferredEvents() {
+  TraceContext& ctx = TraceContext::instance();
+  ctx.set_deferring(false);
+  if (std::uncaught_exceptions() > uncaught_) {
+    for (int p = 0; p < participants_; ++p) ctx.publish_deferred(p);
+  }
 }
 
 std::string chrome_trace_json(const std::vector<LifecycleEvent>& events) {

@@ -117,6 +117,15 @@ class TraceContext {
               double value = 0.0, std::string detail = {},
               int origin_round = -1);
 
+  // Staged rounds record the dispatch stage for every participant before
+  // any of them trains, yet the Chrome export and the flight recorder
+  // must see each participant's events in one contiguous run, as a
+  // serial round records them. While a DeferredEvents scope is open,
+  // record() parks events instead of committing them; publish_deferred(p)
+  // commits participant p's parked events in recording order, also after
+  // the scope closed.
+  void publish_deferred(int participant);
+
   // Chrome trace-event export of everything buffered so far. Called by
   // Telemetry::finish(); path comes from configure. No-op when no path
   // was configured or nothing was recorded.
@@ -136,16 +145,37 @@ class TraceContext {
   void reset();
 
  private:
+  friend class DeferredEvents;
   TraceContext() = default;
+  void set_deferring(bool on);
+  void commit(LifecycleEvent&& ev) FMS_REQUIRES(mu_);
 
   mutable fms::Mutex mu_;
   std::vector<LifecycleEvent> events_ FMS_GUARDED_BY(mu_);
+  std::vector<LifecycleEvent> deferred_ FMS_GUARDED_BY(mu_);
+  bool deferring_ FMS_GUARDED_BY(mu_) = false;
   std::shared_ptr<FlightRecorder> flight_ FMS_GUARDED_BY(mu_);
   std::string chrome_path_ FMS_GUARDED_BY(mu_);
   std::string flight_dump_path_ FMS_GUARDED_BY(mu_);
   std::uint64_t seed_ FMS_GUARDED_BY(mu_) = 0;
   std::atomic<int> round_{-1};
   double base_s_ FMS_GUARDED_BY(mu_) = 0.0;
+};
+
+// Parks the process-wide context's events for its lifetime (see
+// TraceContext::publish_deferred). When an exception leaves the scope it
+// publishes everything it parked, participant by participant, so a crash
+// dump still holds the events. On a normal exit the owner publishes them.
+class DeferredEvents {
+ public:
+  explicit DeferredEvents(int participants);
+  ~DeferredEvents();
+  DeferredEvents(const DeferredEvents&) = delete;
+  DeferredEvents& operator=(const DeferredEvents&) = delete;
+
+ private:
+  int participants_;
+  int uncaught_;
 };
 
 // Serializes lifecycle events as a Chrome trace-event JSON document

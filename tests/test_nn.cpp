@@ -1,6 +1,7 @@
 // Unit tests for layers and the optimizer: finite-difference gradient
 // checks through whole modules, BatchNorm statistics, SGD semantics.
 #include <cmath>
+#include <initializer_list>
 
 #include "gtest/gtest.h"
 #include "src/nn/layers.h"
@@ -202,6 +203,36 @@ TEST(Layers, SepConvGradCheck) {
   auto op = make_sep_conv(2, 3, 1, rng);
   Tensor x = Tensor::randn({1, 2, 4, 4}, rng);
   check_module_input_grad(*op, x, 5e-2);
+}
+
+// backward() consumes the activations its forward(train=true) cached: the
+// first call succeeds, a second one fails the has-cache check, and a new
+// train forward re-arms it.
+void expect_backward_consumes_cache(Module& m, const Tensor& x) {
+  const Tensor y = m.forward(x, /*train=*/true);
+  const Tensor gy = Tensor::full(y.shape(), 1.0F);
+  EXPECT_NO_THROW(m.backward(gy));
+  EXPECT_THROW(m.backward(gy), CheckError);
+  m.forward(x, /*train=*/true);
+  EXPECT_NO_THROW(m.backward(gy));
+}
+
+TEST(Layers, BackwardConsumesTheForwardCacheOfEveryLayer) {
+  Rng rng(31);
+  const Tensor x = Tensor::randn({2, 4, 6, 6}, rng);
+  Conv2d conv(4, 4, 3, Conv2dSpec{1, 1, 1, 1}, rng);
+  Conv2d depthwise(4, 4, 3, Conv2dSpec{1, 1, 1, 4}, rng);
+  BatchNorm2d bn(4);
+  ReLU relu;
+  MaxPool2d max_pool(3, 1, 1);
+  AvgPool2d avg_pool(3, 2, 1);
+  GlobalAvgPool gap;
+  Linear linear(4, 3, rng);
+  for (Module* m : std::initializer_list<Module*>{
+           &conv, &depthwise, &bn, &relu, &max_pool, &avg_pool, &gap}) {
+    expect_backward_consumes_cache(*m, x);
+  }
+  expect_backward_consumes_cache(linear, Tensor::randn({5, 4}, rng));
 }
 
 TEST(Optim, SGDPlainStep) {

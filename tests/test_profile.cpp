@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/core/checkpoint.h"
 #include "src/core/search.h"
 #include "src/data/synth.h"
@@ -347,6 +348,86 @@ TEST_F(ProfileTest, SearchZonesShowUpInProfileAndTelemetry) {
                                  .value();
   EXPECT_GT(alloc_gauge, 0.0);
   std::remove(trace.c_str());
+}
+
+TEST_F(ProfileTest, PoolTasksNestUnderTheSubmittingZone) {
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  ThreadPool pool(4);
+  {
+    FMS_PROFILE_ZONE("submit");
+    pool.parallel_for(8, [](std::size_t) { FMS_PROFILE_ZONE("task"); });
+  }
+  const obs::ProfileReport report = obs::collect_profile();
+  obs::set_profiling_enabled(false);
+
+  const obs::ZoneStats* submit = find_zone(report, "submit");
+  const obs::ZoneStats* task = find_zone(report, "submit/task");
+  ASSERT_NE(submit, nullptr);
+  ASSERT_NE(task, nullptr);
+  // Workers re-open "submit" without counting it a second time.
+  EXPECT_EQ(submit->calls, 1U);
+  EXPECT_EQ(task->calls, 8U);
+  EXPECT_EQ(find_zone(report, "task"), nullptr);
+}
+
+TEST_F(ProfileTest, PoolPeakLiveBytesFollowTheSerialSchedule) {
+  // Task i allocates (i + 1) KiB. Freed inside the task, the serial peak
+  // is the largest task; kept alive in a slot, it is the running sum. The
+  // ledger reports exactly those figures whatever the worker count.
+  constexpr std::size_t kTasks = 8;
+  for (const std::size_t workers : {1, 2, 4}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ThreadPool pool(workers);
+    std::vector<Tensor> kept(kTasks);
+    obs::set_alloc_tracking_enabled(true);
+    obs::reset_alloc_stats();
+    pool.parallel_for(kTasks, [](std::size_t i) {
+      const Tensor scratch({static_cast<int>(i + 1), 256});
+    });
+    EXPECT_EQ(obs::alloc_stats().peak_live_bytes, 8 * 1024);
+    pool.parallel_for(kTasks, [&kept](std::size_t i) {
+      kept[i] = Tensor({static_cast<int>(i + 1), 256});
+    });
+    EXPECT_EQ(obs::alloc_stats().peak_live_bytes, 36 * 1024);
+    EXPECT_EQ(obs::alloc_stats().live_bytes, 36 * 1024);
+    kept.clear();
+    obs::set_alloc_tracking_enabled(false);
+  }
+}
+
+TEST_F(ProfileTest, TrainStepLeavesOnlyTheReplicaLive) {
+  // Every layer's backward releases its forward cache, so after a
+  // train_step the ledger holds exactly what the participant held before
+  // it trained: the replica's parameters, gradients and BatchNorm running
+  // statistics — no activations.
+  TinyWorld w = make_tiny_world(17);
+  Rng rng(5);
+  Supernet server(w.cfg.supernet, rng);
+  SubmodelMsg msg;
+  msg.mask.normal.assign(
+      static_cast<std::size_t>(Cell::num_edges(w.cfg.supernet.num_nodes)),
+      static_cast<int>(OpType::kSepConv3));
+  msg.mask.reduce = msg.mask.normal;
+  msg.values = server.gather_values(server.masked_param_ids(msg.mask));
+
+  obs::set_alloc_tracking_enabled(true);
+  obs::reset_alloc_stats();
+  SearchParticipant participant(0, Shard(&w.data.train, w.partition[0]),
+                                w.cfg.supernet, w.cfg.augment,
+                                w.cfg.schedule.batch_size, rng.fork());
+  const std::int64_t replica_bytes = obs::alloc_stats().live_bytes;
+  std::size_t param_floats = 0;
+  for (const Param* p : server.params()) param_floats += p->numel();
+  EXPECT_GE(replica_bytes,
+            static_cast<std::int64_t>(2 * sizeof(float) * param_floats));
+  for (int step = 0; step < 2; ++step) {
+    msg.round = step;
+    const UpdateMsg upd = participant.train_step(msg);
+    EXPECT_FALSE(upd.grads.empty());
+    EXPECT_EQ(obs::alloc_stats().live_bytes, replica_bytes);
+  }
+  EXPECT_GT(obs::alloc_stats().peak_live_bytes, replica_bytes);
 }
 
 TEST_F(ProfileTest, PeakRssGaugeIsPositive) {

@@ -144,6 +144,51 @@ TEST_F(TraceTest, RecordStampsSimTimeAndCohortTraceIds) {
   EXPECT_EQ(ctx.num_events(), 4U);
 }
 
+TEST_F(TraceTest, DeferredEventsPublishPerParticipantInRecordingOrder) {
+  obs::TraceContext& ctx = obs::TraceContext::instance();
+  ctx.configure(true, 1, "fms_test_trace_buffer.json", 0, "");
+  ctx.begin_round(0);
+  {
+    const obs::DeferredEvents deferred(2);
+    ctx.record(1, obs::Stage::kDispatch, 0.0, 0.0);
+    ctx.record(0, obs::Stage::kStale, 0.0, 0.0);
+    ctx.record(0, obs::Stage::kDispatch, 0.0, 0.0);
+    EXPECT_EQ(ctx.num_events(), 0U);
+  }
+  // Deferring stopped with the scope; the parked events wait for their
+  // participant's turn, after which that participant records directly.
+  ctx.publish_deferred(0);
+  ctx.record(0, obs::Stage::kLocalTrain, 0.0, 0.0);
+  ctx.publish_deferred(1);
+  const std::vector<obs::LifecycleEvent> evs = ctx.events_snapshot();
+  ASSERT_EQ(evs.size(), 4U);
+  EXPECT_EQ(evs[0].stage, obs::Stage::kStale);
+  EXPECT_EQ(evs[1].stage, obs::Stage::kDispatch);
+  EXPECT_EQ(evs[1].participant, 0);
+  EXPECT_EQ(evs[2].stage, obs::Stage::kLocalTrain);
+  EXPECT_EQ(evs[3].participant, 1);
+}
+
+TEST_F(TraceTest, DeferredEventsLeftByAnExceptionArePublished) {
+  obs::TraceContext& ctx = obs::TraceContext::instance();
+  ctx.configure(true, 1, "fms_test_trace_buffer.json", 0, "");
+  ctx.begin_round(0);
+  EXPECT_THROW(
+      {
+        const obs::DeferredEvents deferred(2);
+        ctx.record(1, obs::Stage::kDispatch, 0.0, 0.0);
+        ctx.record(0, obs::Stage::kDispatch, 0.0, 0.0);
+        throw CheckError("train step failed");
+      },
+      CheckError);
+  const std::vector<obs::LifecycleEvent> evs = ctx.events_snapshot();
+  ASSERT_EQ(evs.size(), 2U);
+  EXPECT_EQ(evs[0].participant, 0);
+  EXPECT_EQ(evs[1].participant, 1);
+  ctx.record(0, obs::Stage::kDrop, 0.0, 0.0);  // no longer deferring
+  EXPECT_EQ(ctx.num_events(), 3U);
+}
+
 TEST_F(TraceTest, EmptyRoundStillAdvancesTheClock) {
   obs::TraceContext& ctx = obs::TraceContext::instance();
   ctx.configure(true, 1, "fms_test_trace_buffer.json", 0, "");
@@ -364,6 +409,48 @@ TEST_F(TraceTest, TracingOnVersusOffIsBitIdentical) {
   EXPECT_EQ(off.second, on.second);
   std::remove(chrome.c_str());
   std::remove(flight.c_str());
+}
+
+TEST_F(TraceTest, DispatchChainsStayContiguousPerParticipant) {
+  // A round records each participant's dispatch-to-upload chain (stale
+  // draw, faults, dispatch, local_train, drops) before the next
+  // participant's, as a serial round does, although every participant
+  // is dispatched before any of them trains. Between the round's quorum
+  // event and its first arrival, participant ids never decrease.
+  TinyWorld w = make_tiny_world(23);
+  w.cfg.telemetry.enabled = true;
+  w.cfg.telemetry.trace_chrome_path = "fms_test_trace_chains.json";
+  SearchOptions opts;
+  opts.stale_policy = StalePolicy::kCompensate;
+  opts.staleness = StalenessDistribution::slight();
+  opts.fault_plan = FaultPlan::parse("corrupt=0.2,link=0.2,uplink=0.2,seed=4");
+  std::vector<obs::LifecycleEvent> evs;
+  {
+    FederatedSearch search(w.cfg, w.data.train, w.partition);
+    search.run_search(4, opts);
+    evs = obs::TraceContext::instance().events_snapshot();
+  }
+  int rounds_checked = 0;
+  int prev = -1;
+  bool in_chain = false;
+  for (const obs::LifecycleEvent& ev : evs) {
+    if (ev.stage == obs::Stage::kQuorum) {
+      in_chain = true;
+      prev = -1;
+      ++rounds_checked;
+      continue;
+    }
+    if (ev.stage == obs::Stage::kArrive) in_chain = false;
+    if (!in_chain) continue;
+    EXPECT_GE(ev.participant, prev)
+        << "round " << ev.round << ": " << obs::stage_name(ev.stage)
+        << " of participant " << ev.participant << " after participant "
+        << prev;
+    prev = ev.participant;
+  }
+  EXPECT_EQ(rounds_checked, 4);
+  obs::Telemetry::instance().finish();
+  std::remove("fms_test_trace_chains.json");
 }
 
 TEST_F(TraceTest, SearchEmitsFullLifecycleWithSharedCohortTraces) {

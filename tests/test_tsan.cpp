@@ -3,15 +3,18 @@
 // These run in every build, but their real job is a -DFMS_SANITIZE=thread
 // build: `ctest -L tsan` must come back with zero reported races. They
 // hammer exactly the surfaces the repo promises are thread-safe — the
-// ThreadPool, concurrent MetricsRegistry recording from many threads, and
+// ThreadPool, concurrent MetricsRegistry recording from many threads,
 // whole FederatedSearch rounds running in parallel against the shared
-// global Telemetry context.
+// global Telemetry context, and the staged round's parallel train stage,
+// whose every published artifact must not depend on the thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/sinks.h"
 #include "src/obs/telemetry.h"
+#include "src/obs/trace_ctx.h"
 
 namespace fms {
 namespace {
@@ -50,6 +54,24 @@ TEST(TsanThreadPool, ExceptionUnderContentionStillJoins) {
                             if (i % 16 == 3) throw CheckError("expected");
                           }),
         CheckError);
+  }
+}
+
+TEST(TsanThreadPool, LowestFailingIndexWinsRegardlessOfScheduling) {
+  // Two indices throw. Whichever worker fails first, the caller must see
+  // the lower index's exception — the one a serial loop raises.
+  ThreadPool pool(4);
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    std::string caught;
+    try {
+      pool.parallel_for(32, [](std::size_t i) {
+        if (i == 5) throw CheckError("index 5");
+        if (i == 29) throw CheckError("index 29");
+      });
+    } catch (const CheckError& e) {
+      caught = e.what();
+    }
+    ASSERT_EQ(caught, "index 5") << "attempt " << attempt;
   }
 }
 
@@ -196,6 +218,105 @@ TEST(TsanTrace, JsonlWriterIsLineAtomicUnderThreadPool) {
   }
   EXPECT_EQ(lines, kEvents);
   std::remove(path.c_str());
+}
+
+// Everything a staged round publishes, for a byte comparison across
+// thread counts.
+struct RunArtifacts {
+  std::vector<std::vector<std::uint8_t>> records;  // canonical() bytes
+  std::vector<std::uint8_t> checkpoint;
+  std::string journal;
+  std::string chrome;
+  std::string flight;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+RunArtifacts run_hostile_search(int threads) {
+  const std::string dir =
+      ::testing::TempDir() + "/fms_threads_" + std::to_string(threads);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  Rng rng(61);
+  SynthSpec spec;
+  spec.train_size = 192;
+  spec.test_size = 24;
+  spec.image_size = 8;
+  TrainTest tt = make_synth_c10(spec, rng);
+  SearchConfig cfg = tsan_config(61);
+  cfg.schedule.num_participants = 6;
+  cfg.threads = threads;
+  cfg.telemetry.enabled = true;
+  cfg.telemetry.health = true;
+  cfg.telemetry.trace_chrome_path = dir + "/trace.json";
+  cfg.telemetry.flight_recorder = 16;
+  cfg.telemetry.flight_dump_path = dir + "/flight.jsonl";
+  auto parts = dirichlet_partition(tt.train.labels(), 10,
+                                   cfg.schedule.num_participants, 0.5, rng);
+
+  SearchOptions opts;
+  opts.stale_policy = StalePolicy::kCompensate;
+  opts.staleness = StalenessDistribution::severe();
+  opts.fault_plan = FaultPlan::parse(
+      "crash=0.2,crash_round=2,corrupt=0.1,divergent=0.15,sign_flip=0.2,"
+      "link=0.1,uplink=0.1,seed=8");
+  opts.churn_plan = ChurnPlan::parse("leave=0.15,away_min=1,away_max=3,seed=9");
+  opts.quorum = 0.75;
+  opts.degrade.max_mode = 3;
+  opts.checkpoint_every = 3;
+  opts.checkpoint_path = dir + "/ck.bin";
+
+  RunArtifacts out;
+  {
+    FederatedSearch search(cfg, tt.train, parts);
+    search.enable_journal(dir + "/wal.bin", opts.fault_plan);
+    std::vector<RoundRecord> records = search.run_warmup(2);
+    for (RoundRecord& r : search.run_search(7, opts)) {
+      records.push_back(std::move(r));
+    }
+    for (const RoundRecord& r : records) {
+      ByteWriter w;
+      r.canonical().serialize(w);
+      out.records.push_back(w.take());
+    }
+    out.checkpoint = search.checkpoint().serialize();
+  }  // the destructor exports the Chrome trace
+  out.journal = slurp(dir + "/wal.bin");
+  out.chrome = slurp(dir + "/trace.json");
+  out.flight = slurp(dir + "/flight.jsonl");
+  obs::set_telemetry_enabled(false);
+  obs::set_tracing_enabled(false);
+  obs::TraceContext::instance().reset();
+  obs::Telemetry::instance().clear_sinks();
+  obs::Telemetry::instance().registry().reset();
+  return out;
+}
+
+TEST(TsanSearch, ThreadCountLeavesEveryArtifactByteIdentical) {
+  // Staleness + DC, payload/Byzantine/link faults, churn, the degradation
+  // ladder, journal and auto-checkpoints: the hardest round the substrate
+  // runs must publish the same bytes whether 1, 2 or 4 workers train.
+  const RunArtifacts serial = run_hostile_search(1);
+  ASSERT_EQ(serial.records.size(), 9U);
+  EXPECT_FALSE(serial.journal.empty());
+  EXPECT_FALSE(serial.chrome.empty());
+  EXPECT_FALSE(serial.flight.empty()) << "no flight dump was triggered";
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const RunArtifacts got = run_hostile_search(threads);
+    ASSERT_EQ(got.records.size(), serial.records.size());
+    for (std::size_t r = 0; r < got.records.size(); ++r) {
+      EXPECT_EQ(got.records[r], serial.records[r]) << "round " << r;
+    }
+    EXPECT_EQ(got.checkpoint, serial.checkpoint);
+    EXPECT_EQ(got.journal, serial.journal);
+    EXPECT_EQ(got.chrome, serial.chrome);
+    EXPECT_EQ(got.flight, serial.flight);
+  }
 }
 
 }  // namespace
