@@ -75,7 +75,9 @@ class ByteReader {
                   "ByteReader underflow");
     FMS_PROFILE_BYTES(n * sizeof(T));
     std::vector<T> v(static_cast<std::size_t>(n));
-    std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (n > 0) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
+#include <utility>
 
 namespace fms {
 
@@ -13,86 +16,502 @@ int conv_out_size(int in, int kernel, int stride, int padding, int dilation) {
   return out;
 }
 
-Tensor conv2d_forward(const Tensor& x, const Tensor& w,
-                      const Conv2dSpec& spec) {
-  FMS_CHECK(x.ndim() == 4 && w.ndim() == 4);
-  const int n = x.dim(0), cin = x.dim(1), h = x.dim(2), ww = x.dim(3);
-  const int cout = w.dim(0), cin_g = w.dim(1), kh = w.dim(2), kw = w.dim(3);
-  const int g = spec.groups;
-  FMS_CHECK_MSG(cin % g == 0 && cout % g == 0 && cin / g == cin_g,
-                "channel/group mismatch: cin=" << cin << " cout=" << cout
-                                               << " groups=" << g);
-  const int ho = conv_out_size(h, kh, spec.stride, spec.padding, spec.dilation);
-  const int wo = conv_out_size(ww, kw, spec.stride, spec.padding, spec.dilation);
-  const int cout_g = cout / g;
+namespace {
 
-  Tensor y({n, cout, ho, wo});
-  for (int in = 0; in < n; ++in) {
-    for (int gi = 0; gi < g; ++gi) {
-      for (int oc = 0; oc < cout_g; ++oc) {
-        const int oc_abs = gi * cout_g + oc;
-        for (int oh = 0; oh < ho; ++oh) {
-          for (int ow = 0; ow < wo; ++ow) {
-            float acc = 0.0F;
-            for (int ic = 0; ic < cin_g; ++ic) {
-              const int ic_abs = gi * cin_g + ic;
-              for (int r = 0; r < kh; ++r) {
-                const int ih = oh * spec.stride - spec.padding + r * spec.dilation;
-                if (ih < 0 || ih >= h) continue;
-                for (int c = 0; c < kw; ++c) {
-                  const int iw = ow * spec.stride - spec.padding + c * spec.dilation;
-                  if (iw < 0 || iw >= ww) continue;
-                  acc += x.at4(in, ic_abs, ih, iw) * w.at4(oc_abs, ic, r, c);
-                }
-              }
-            }
-            y.at4(in, oc_abs, oh, ow) = acc;
+// ---------------------------------------------------------------------
+// GEMM behind the conv engine, matmul and matmul_tn. An 8-lane float
+// vector from the GCC/Clang vector extension; -march decides what it
+// lowers to (one AVX register, two SSE registers, ...).
+// ---------------------------------------------------------------------
+using Vec8 = float __attribute__((vector_size(32)));
+constexpr int kLanes = 8;
+
+inline Vec8 load8(const float* p) {
+  Vec8 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+inline void store8(float* p, Vec8 v) { std::memcpy(p, &v, sizeof(v)); }
+inline Vec8 splat8(float s) { return Vec8{s, s, s, s, s, s, s, s}; }
+
+// A strided matrix operand: element (r, c) is p[r * rs + c * cs], so one
+// view covers a row-major matrix and its transpose.
+struct MatRef {
+  const float* p;
+  std::ptrdiff_t rs;
+  std::ptrdiff_t cs;
+};
+
+// Register tile: up to kMr rows of C by up to kNv vectors of columns.
+constexpr int kMr = 4;
+constexpr int kNv = 2;
+constexpr int kNr = kNv * kLanes;
+
+// C[MR x ncols] (+)= A[MR x k] * B[k x NV*8], B rows contiguous at stride
+// ldb. Each C element is one lane that starts from C (or zero) and adds
+// its k products in order, the summation order of the direct loops.
+template <int MR, int NV>
+void micro_kernel(int k, MatRef a, const float* b, std::ptrdiff_t ldb,
+                  float* c, std::ptrdiff_t ldc, int ncols, bool accumulate) {
+  Vec8 acc[MR][NV] = {};
+  if (accumulate) {
+    for (int i = 0; i < MR; ++i) {
+      float tile[NV * kLanes] = {};
+      std::copy(c + i * ldc, c + i * ldc + ncols, tile);
+      std::memcpy(acc[i], tile, sizeof(tile));
+    }
+  }
+  for (int p = 0; p < k; ++p) {
+    Vec8 bv[NV];
+    for (int j = 0; j < NV; ++j) bv[j] = load8(b + p * ldb + std::ptrdiff_t{j} * kLanes);
+    for (int i = 0; i < MR; ++i) {
+      const Vec8 av = splat8(a.p[i * a.rs + p * a.cs]);
+      for (int j = 0; j < NV; ++j) acc[i][j] += av * bv[j];
+    }
+  }
+  for (int i = 0; i < MR; ++i) {
+    float tile[NV * kLanes];
+    std::memcpy(tile, acc[i], sizeof(tile));
+    std::copy(tile, tile + ncols, c + i * ldc);
+  }
+}
+
+using MicroKernel = void (*)(int, MatRef, const float*, std::ptrdiff_t,
+                             float*, std::ptrdiff_t, int, bool);
+constexpr MicroKernel kMicroKernels[kMr][kNv] = {
+    {micro_kernel<1, 1>, micro_kernel<1, 2>},
+    {micro_kernel<2, 1>, micro_kernel<2, 2>},
+    {micro_kernel<3, 1>, micro_kernel<3, 2>},
+    {micro_kernel<4, 1>, micro_kernel<4, 2>}};
+
+// C[m x n] (+)= A[m x k] * B[k x n]; C is row-major with leading
+// dimension ldc. B panels that are transposed or ragged are packed into
+// `panel`, a caller-owned buffer reused across calls.
+void gemm(int m, int n, int k, MatRef a, MatRef b, float* c,
+          std::ptrdiff_t ldc, bool accumulate, std::vector<float>& panel) {
+  for (int j0 = 0; j0 < n; j0 += kNr) {
+    const int ncols = std::min(kNr, n - j0);
+    const int nv = (ncols + kLanes - 1) / kLanes;
+    const float* bp = b.p + j0 * b.cs;
+    std::ptrdiff_t ldb = b.rs;
+    if (b.cs != 1 || ncols % kLanes != 0) {
+      const int width = nv * kLanes;
+      panel.assign(static_cast<std::size_t>(k) * width, 0.0F);
+      for (int j = 0; j < ncols; ++j)
+        for (int p = 0; p < k; ++p)
+          panel[static_cast<std::size_t>(p) * width + j] =
+              bp[p * b.rs + j * b.cs];
+      bp = panel.data();
+      ldb = width;
+    }
+    for (int i0 = 0; i0 < m; i0 += kMr) {
+      const int mr = std::min(kMr, m - i0);
+      kMicroKernels[mr - 1][nv - 1](k, MatRef{a.p + i0 * a.rs, a.rs, a.cs},
+                                    bp, ldb, c + i0 * ldc + j0, ldc, ncols,
+                                    accumulate);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Conv engine. Every path adds each output's (and each gradient's) terms
+// in the order of the direct loops in tests/conv_reference.cpp, so the
+// paths change speed, not results.
+// ---------------------------------------------------------------------
+struct ConvShape {
+  int n, cin, h, w;
+  int cout, kh, kw;
+  int ho, wo;
+  int groups, cin_g, cout_g;
+  int stride, pad, dil;
+};
+
+ConvShape conv_shape(const Tensor& x, const Tensor& w, const Conv2dSpec& spec) {
+  FMS_CHECK(x.ndim() == 4 && w.ndim() == 4);
+  ConvShape s{};
+  s.n = x.dim(0), s.cin = x.dim(1), s.h = x.dim(2), s.w = x.dim(3);
+  s.cout = w.dim(0), s.cin_g = w.dim(1), s.kh = w.dim(2), s.kw = w.dim(3);
+  s.groups = spec.groups;
+  s.stride = spec.stride, s.pad = spec.padding, s.dil = spec.dilation;
+  FMS_CHECK_MSG(s.cin % s.groups == 0 && s.cout % s.groups == 0 &&
+                    s.cin / s.groups == s.cin_g,
+                "channel/group mismatch: cin=" << s.cin << " cout=" << s.cout
+                                               << " groups=" << s.groups);
+  s.cout_g = s.cout / s.groups;
+  s.ho = conv_out_size(s.h, s.kh, s.stride, s.pad, s.dil);
+  s.wo = conv_out_size(s.w, s.kw, s.stride, s.pad, s.dil);
+  return s;
+}
+
+// Output positions o in [0, out) with 0 <= o * stride + offset < in.
+std::pair<int, int> valid_range(int out, int in, int stride, int offset) {
+  const int lo = offset >= 0 ? 0 : (stride - 1 - offset) / stride;
+  const int hi = std::min(out, offset >= in ? 0 : (in - 1 - offset) / stride + 1);
+  return {std::min(lo, hi), hi};
+}
+
+int round_up_lanes(std::ptrdiff_t n) {
+  return static_cast<int>((n + kLanes - 1) / kLanes * kLanes);
+}
+
+// Padded-plane geometry of the depthwise kernel and of the im2col path's
+// grad_x. An input plane is copied into a zero-padded buffer whose rows
+// are `pitch` long: input (ih, iw) sits at origin + ih * pitch + iw, and
+// output (oh, ow) at q = oh * pitch + ow reads tap (r, c) at
+// stride * q + offset with no bounds test. Positions with ow >= wo are
+// computed and dropped. Taps that read only padding for every output
+// add nothing and are left out, which on 2x2 planes drops most of a 5x5
+// kernel.
+struct PlaneGeometry {
+  struct Tap {
+    std::ptrdiff_t offset;  // r * dil * pitch + c * dil
+    int weight;             // r * kw + c
+  };
+
+  explicit PlaneGeometry(const ConvShape& s)
+      : pitch(s.w + 2 * s.pad),
+        out_span(round_up_lanes(static_cast<std::ptrdiff_t>(s.ho) * pitch)),
+        in_span(round_up_lanes(static_cast<std::ptrdiff_t>(s.h + 2 * s.pad) * pitch)),
+        origin(static_cast<std::ptrdiff_t>(s.pad) * pitch + s.pad) {
+    for (int r = 0; r < s.kh; ++r) {
+      const auto [rlo, rhi] = valid_range(s.ho, s.h, s.stride, r * s.dil - s.pad);
+      for (int c = 0; c < s.kw; ++c) {
+        const auto [clo, chi] = valid_range(s.wo, s.w, s.stride, c * s.dil - s.pad);
+        if (rlo == rhi || clo == chi) continue;
+        taps.push_back({(std::ptrdiff_t{r} * pitch + c) * s.dil, r * s.kw + c});
+        reach = taps.back().offset;
+      }
+    }
+    padded = static_cast<std::size_t>(std::max<std::ptrdiff_t>(
+        in_span, static_cast<std::ptrdiff_t>(s.stride) * (out_span - 1) + reach + 1));
+    dilated = static_cast<std::size_t>(reach + in_span);
+  }
+  int pitch;                  // padded row length
+  int out_span;               // q positions computed per output plane
+  int in_span;                // positions computed per padded input plane
+  std::ptrdiff_t origin;      // offset of input pixel (0, 0)
+  std::ptrdiff_t reach = 0;   // largest tap offset
+  std::size_t padded = 0;     // padded input buffer; every read fits
+  std::size_t dilated = 0;    // spread-out grad_y buffer, see to_pitched
+  std::vector<Tap> taps;      // in (r, c) order
+};
+
+// Copies a rows x cols plane to every `step`-th position of a buffer
+// with row length `pitch` (step = stride spreads grad_y out so that
+// grad_x is a gather), or back out of a pitched buffer.
+void to_pitched(const float* src, int rows, int cols, int pitch, int step,
+                float* dst) {
+  for (int r = 0; r < rows; ++r, src += cols) {
+    float* row = dst + static_cast<std::ptrdiff_t>(r) * pitch * step;
+    if (step == 1) {
+      std::copy(src, src + cols, row);
+    } else {
+      for (int c = 0; c < cols; ++c) row[std::ptrdiff_t{c} * step] = src[c];
+    }
+  }
+}
+void from_pitched(const float* src, int rows, int cols, int pitch, float* dst) {
+  for (int r = 0; r < rows; ++r, src += pitch, dst += cols)
+    std::copy(src, src + cols, dst);
+}
+
+template <bool kUnitStride>
+Vec8 load_lanes(const float* p, int stride) {
+  if constexpr (kUnitStride) {
+    return load8(p);
+  } else {
+    Vec8 v = {};
+    for (int i = 0; i < kLanes; ++i) v[i] = p[std::ptrdiff_t{i} * stride];
+    return v;
+  }
+}
+
+// Vectors of positions worked on together: independent sums that hide
+// the latency of each lane's in-order chain.
+constexpr int kChunks = 4;
+
+// Runs body.template operator()<B>(p) over [0, span) in blocks of
+// kChunks vectors, then single vectors.
+template <typename Body>
+void for_each_block(int span, Body&& body) {
+  int p = 0;
+  for (; p + kChunks * kLanes <= span; p += kChunks * kLanes)
+    body.template operator()<kChunks>(p);
+  for (; p < span; p += kLanes) body.template operator()<1>(p);
+}
+
+// One depthwise output plane at every q: the taps in order, one output
+// per lane.
+template <bool kUnitStride>
+void depthwise_plane_forward(const float* xp, const float* wt, int stride,
+                             const PlaneGeometry& g, float* yq) {
+  for_each_block(g.out_span, [&]<int B>(int q) {
+    Vec8 acc[B] = {};
+    for (const PlaneGeometry::Tap& t : g.taps) {
+      const Vec8 wv = splat8(wt[t.weight]);
+      const float* base = xp + static_cast<std::ptrdiff_t>(stride) * q + t.offset;
+      for (int j = 0; j < B; ++j)
+        acc[j] += wv * load_lanes<kUnitStride>(base + std::ptrdiff_t{j} * kLanes * stride,
+                                               stride);
+    }
+    for (int j = 0; j < B; ++j) store8(yq + q + std::ptrdiff_t{j} * kLanes, acc[j]);
+  });
+}
+
+// grad_x at every position of a padded input plane, gathered from
+// `channels` spread-out grad_y planes (`gyd`, `plane` floats apart, each
+// starting `reach` zeros in) through their taps of `wt` (`wt_stride`
+// apart). Output channels run outer and taps last to first, i.e. by
+// ascending output position: the direct loops' order.
+void gather_grad_x(const float* gyd, std::size_t plane, int channels,
+                   const float* wt, std::ptrdiff_t wt_stride,
+                   const PlaneGeometry& g, float* gxp) {
+  for_each_block(g.in_span, [&]<int B>(int p) {
+    Vec8 acc[B] = {};
+    for (int oc = 0; oc < channels; ++oc) {
+      const float* src = gyd + oc * plane + g.reach + p;
+      const float* w = wt + oc * wt_stride;
+      for (auto t = g.taps.rbegin(); t != g.taps.rend(); ++t) {
+        const Vec8 wv = splat8(w[t->weight]);
+        for (int j = 0; j < B; ++j)
+          acc[j] += wv * load8(src - t->offset + std::ptrdiff_t{j} * kLanes);
+      }
+    }
+    for (int j = 0; j < B; ++j) store8(gxp + p + std::ptrdiff_t{j} * kLanes, acc[j]);
+  });
+}
+
+// Interleaves `lanes` planes of rows x cols (`plane` floats apart) into
+// dst, row length `pitch`: dst[(r * pitch + c) * kLanes + lane].
+void interleave(const float* src, std::ptrdiff_t plane, int lanes, int rows,
+                int cols, int pitch, float* dst) {
+  for (int lane = 0; lane < lanes; ++lane, src += plane) {
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        dst[(static_cast<std::ptrdiff_t>(r) * pitch + c) * kLanes + lane] =
+            src[std::ptrdiff_t{r} * cols + c];
+      }
+    }
+  }
+}
+
+// Adds the grad_w terms of up to kLanes channels of one sample, one
+// channel per lane: x8 holds their padded planes and gy8 their grad_y
+// planes, interleaved. Each tap adds its terms by ascending output
+// position; four taps share a pass to hide the add latency.
+void depthwise_block_grad_w(const float* x8, const float* gy8, int lanes,
+                            const ConvShape& s, const PlaneGeometry& g,
+                            float* gw) {
+  constexpr int kTapBlock = 4;
+  const std::ptrdiff_t kk = std::ptrdiff_t{s.kh} * s.kw;
+  for (std::size_t t0 = 0; t0 < g.taps.size(); t0 += kTapBlock) {
+    const std::size_t nt = std::min<std::size_t>(kTapBlock, g.taps.size() - t0);
+    Vec8 acc[kTapBlock] = {};
+    std::ptrdiff_t offs[kTapBlock] = {};
+    for (std::size_t j = 0; j < nt; ++j) {
+      offs[j] = g.taps[t0 + j].offset;
+      for (int lane = 0; lane < lanes; ++lane)
+        acc[j][lane] = gw[lane * kk + g.taps[t0 + j].weight];
+    }
+    for (int oh = 0; oh < s.ho; ++oh) {
+      for (int ow = 0; ow < s.wo; ++ow) {
+        const Vec8 gv = load8(gy8 + static_cast<std::ptrdiff_t>(oh * s.wo + ow) * kLanes);
+        const std::ptrdiff_t sq =
+            static_cast<std::ptrdiff_t>(s.stride) * (oh * g.pitch + ow);
+        for (int j = 0; j < kTapBlock; ++j)
+          acc[j] += gv * load8(x8 + (sq + offs[j]) * kLanes);
+      }
+    }
+    for (std::size_t j = 0; j < nt; ++j) {
+      for (int lane = 0; lane < lanes; ++lane)
+        gw[lane * kk + g.taps[t0 + j].weight] = acc[j][lane];
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Pointwise and im2col paths: per sample and group, y = W * cols, where
+// cols is the input itself (pointwise) or its im2col matrix
+// cols[(ic * kh + r) * kw + c][oh * wo + ow].
+// ---------------------------------------------------------------------
+void im2col(const float* x, const ConvShape& s, float* cols) {
+  for (int ic = 0; ic < s.cin_g; ++ic) {
+    for (int r = 0; r < s.kh; ++r) {
+      for (int c = 0; c < s.kw; ++c) {
+        const int off = c * s.dil - s.pad;
+        const auto [lo, hi] = valid_range(s.wo, s.w, s.stride, off);
+        for (int oh = 0; oh < s.ho; ++oh, cols += s.wo) {
+          const int ih = oh * s.stride - s.pad + r * s.dil;
+          if (ih < 0 || ih >= s.h) {
+            std::fill(cols, cols + s.wo, 0.0F);
+            continue;
           }
+          const float* src = x + (static_cast<std::ptrdiff_t>(ic) * s.h + ih) * s.w;
+          std::fill(cols, cols + lo, 0.0F);
+          for (int ow = lo; ow < hi; ++ow)
+            cols[ow] = src[std::ptrdiff_t{ow} * s.stride + off];
+          std::fill(cols + hi, cols + s.wo, 0.0F);
         }
       }
+    }
+  }
+}
+
+Tensor gemm_conv_forward(const Tensor& x, const Tensor& w, const ConvShape& s,
+                         bool pointwise) {
+  const int k = s.cin_g * s.kh * s.kw, p = s.ho * s.wo;
+  Tensor y({s.n, s.cout, s.ho, s.wo});
+  std::vector<float> cols(pointwise ? 0 : static_cast<std::size_t>(k) * p);
+  std::vector<float> panel;
+  for (int in = 0; in < s.n; ++in) {
+    for (int g = 0; g < s.groups; ++g) {
+      const float* b = x.data() + x.offset4(in, g * s.cin_g, 0, 0);
+      if (!pointwise) {
+        im2col(b, s, cols.data());
+        b = cols.data();
+      }
+      gemm(s.cout_g, p, k, MatRef{w.data() + w.offset4(g * s.cout_g, 0, 0, 0), k, 1},
+           MatRef{b, p, 1}, y.data() + y.offset4(in, g * s.cout_g, 0, 0), p,
+           /*accumulate=*/false, panel);
     }
   }
   return y;
 }
 
-Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
-                            const Tensor& grad_y, const Conv2dSpec& spec) {
-  const int n = x.dim(0), cin = x.dim(1), h = x.dim(2), ww = x.dim(3);
-  const int cout = w.dim(0), cin_g = w.dim(1), kh = w.dim(2), kw = w.dim(3);
-  const int g = spec.groups;
-  const int ho = grad_y.dim(2), wo = grad_y.dim(3);
-  FMS_CHECK(grad_y.dim(0) == n && grad_y.dim(1) == cout);
-  const int cout_g = cout / g;
-
-  Conv2dGrads out{Tensor({n, cin, h, ww}), Tensor({cout, cin_g, kh, kw})};
-  for (int in = 0; in < n; ++in) {
-    for (int gi = 0; gi < g; ++gi) {
-      for (int oc = 0; oc < cout_g; ++oc) {
-        const int oc_abs = gi * cout_g + oc;
-        for (int oh = 0; oh < ho; ++oh) {
-          for (int ow = 0; ow < wo; ++ow) {
-            const float gy = grad_y.at4(in, oc_abs, oh, ow);
-            // fms-lint: allow(float-eq) -- exact-zero sparsity skip (ReLU)
-            if (gy == 0.0F) continue;
-            for (int ic = 0; ic < cin_g; ++ic) {
-              const int ic_abs = gi * cin_g + ic;
-              for (int r = 0; r < kh; ++r) {
-                const int ih = oh * spec.stride - spec.padding + r * spec.dilation;
-                if (ih < 0 || ih >= h) continue;
-                for (int c = 0; c < kw; ++c) {
-                  const int iw = ow * spec.stride - spec.padding + c * spec.dilation;
-                  if (iw < 0 || iw >= ww) continue;
-                  out.grad_x.at4(in, ic_abs, ih, iw) += gy * w.at4(oc_abs, ic, r, c);
-                  out.grad_w.at4(oc_abs, ic, r, c) += gy * x.at4(in, ic_abs, ih, iw);
-                }
-              }
-            }
-          }
-        }
+// grad_w += grad_y * cols^T by GEMM. grad_x = W^T * grad_y by GEMM when
+// pointwise; otherwise gathered through the taps on padded planes.
+Conv2dGrads gemm_conv_backward(const Tensor& x, const Tensor& w,
+                               const Tensor& grad_y, const ConvShape& s,
+                               bool pointwise) {
+  const int k = s.cin_g * s.kh * s.kw, p = s.ho * s.wo;
+  Conv2dGrads out{Tensor({s.n, s.cin, s.h, s.w}), Tensor(w.shape())};
+  std::vector<float> cols;
+  std::vector<float> panel;
+  std::vector<float> gyd;
+  std::vector<float> gxp;
+  const PlaneGeometry geo(s);
+  if (!pointwise) {
+    cols.resize(static_cast<std::size_t>(k) * p);
+    gyd.assign(geo.dilated * s.cout_g, 0.0F);
+    gxp.resize(static_cast<std::size_t>(geo.in_span));
+  }
+  for (int in = 0; in < s.n; ++in) {
+    for (int g = 0; g < s.groups; ++g) {
+      const float* xg = x.data() + x.offset4(in, g * s.cin_g, 0, 0);
+      const float* gyg = grad_y.data() + grad_y.offset4(in, g * s.cout_g, 0, 0);
+      const float* wg = w.data() + w.offset4(g * s.cout_g, 0, 0, 0);
+      float* gxg = out.grad_x.data() + out.grad_x.offset4(in, g * s.cin_g, 0, 0);
+      if (!pointwise) {
+        im2col(xg, s, cols.data());
+        xg = cols.data();
+      }
+      gemm(s.cout_g, k, p, MatRef{gyg, p, 1}, MatRef{xg, 1, p},
+           out.grad_w.data() + w.offset4(g * s.cout_g, 0, 0, 0), k,
+           /*accumulate=*/true, panel);
+      if (pointwise) {
+        gemm(k, p, s.cout_g, MatRef{wg, 1, k}, MatRef{gyg, p, 1}, gxg, p,
+             /*accumulate=*/false, panel);
+        continue;
+      }
+      for (int oc = 0; oc < s.cout_g; ++oc) {
+        to_pitched(gyg + static_cast<std::ptrdiff_t>(oc) * p, s.ho, s.wo,
+                   geo.pitch, s.stride, gyd.data() + oc * geo.dilated + geo.reach);
+      }
+      const std::ptrdiff_t kk = std::ptrdiff_t{s.kh} * s.kw;
+      for (int ic = 0; ic < s.cin_g; ++ic) {
+        gather_grad_x(gyd.data(), geo.dilated, s.cout_g, wg + ic * kk,
+                      s.cin_g * kk, geo, gxp.data());
+        from_pitched(gxp.data() + geo.origin, s.h, s.w, geo.pitch,
+                     gxg + static_cast<std::ptrdiff_t>(ic) * s.h * s.w);
       }
     }
   }
   return out;
+}
+
+// ---------------------------------------------------------------------
+// Depthwise path (groups == C_in == C_out): a direct kernel per plane
+// over the padded-plane geometry, vectorized across output positions.
+// ---------------------------------------------------------------------
+Tensor depthwise_forward(const Tensor& x, const Tensor& w, const ConvShape& s) {
+  const PlaneGeometry g(s);
+  const std::ptrdiff_t kk = std::ptrdiff_t{s.kh} * s.kw;
+  const auto kernel = s.stride == 1 ? depthwise_plane_forward<true>
+                                    : depthwise_plane_forward<false>;
+  Tensor y({s.n, s.cout, s.ho, s.wo});
+  std::vector<float> xp(g.padded, 0.0F);
+  std::vector<float> yq(static_cast<std::size_t>(g.out_span));
+  for (int in = 0; in < s.n; ++in) {
+    for (int c = 0; c < s.cin; ++c) {
+      to_pitched(x.data() + x.offset4(in, c, 0, 0), s.h, s.w, g.pitch, 1,
+                 xp.data() + g.origin);
+      kernel(xp.data(), w.data() + c * kk, s.stride, g, yq.data());
+      from_pitched(yq.data(), s.ho, s.wo, g.pitch, y.data() + y.offset4(in, c, 0, 0));
+    }
+  }
+  return y;
+}
+
+Conv2dGrads depthwise_backward(const Tensor& x, const Tensor& w,
+                               const Tensor& grad_y, const ConvShape& s) {
+  const PlaneGeometry g(s);
+  const std::ptrdiff_t kk = std::ptrdiff_t{s.kh} * s.kw;
+  const std::ptrdiff_t in_plane = static_cast<std::ptrdiff_t>(s.h) * s.w;
+  const std::ptrdiff_t out_plane = static_cast<std::ptrdiff_t>(s.ho) * s.wo;
+  Conv2dGrads out{Tensor(x.shape()), Tensor(w.shape())};
+  std::vector<float> gyd(g.dilated, 0.0F);
+  std::vector<float> gxp(static_cast<std::size_t>(g.in_span));
+  std::vector<float> x8(g.padded * kLanes, 0.0F);
+  std::vector<float> gy8(static_cast<std::size_t>(out_plane) * kLanes);
+  for (int in = 0; in < s.n; ++in) {
+    const float* xn = x.data() + x.offset4(in, 0, 0, 0);
+    const float* gyn = grad_y.data() + grad_y.offset4(in, 0, 0, 0);
+    for (int c = 0; c < s.cin; ++c) {
+      to_pitched(gyn + c * out_plane, s.ho, s.wo, g.pitch, s.stride,
+                 gyd.data() + g.reach);
+      gather_grad_x(gyd.data(), 0, 1, w.data() + c * kk, 0, g, gxp.data());
+      from_pitched(gxp.data() + g.origin, s.h, s.w, g.pitch,
+                   out.grad_x.data() + out.grad_x.offset4(in, c, 0, 0));
+    }
+    for (int c0 = 0; c0 < s.cin; c0 += kLanes) {
+      const int lanes = std::min(kLanes, s.cin - c0);
+      interleave(xn + c0 * in_plane, in_plane, lanes, s.h, s.w, g.pitch,
+                 x8.data() + g.origin * kLanes);
+      interleave(gyn + c0 * out_plane, out_plane, lanes, s.ho, s.wo, s.wo,
+                 gy8.data());
+      depthwise_block_grad_w(x8.data(), gy8.data(), lanes, s, g,
+                             out.grad_w.data() + c0 * kk);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+ConvPath conv_path(int cin, int cout, int kh, int kw, const Conv2dSpec& spec) {
+  if (spec.groups == cin && cin == cout) return ConvPath::kDepthwise;
+  if (kh == 1 && kw == 1 && spec.stride == 1 && spec.padding == 0)
+    return ConvPath::kPointwise;
+  return ConvPath::kIm2col;
+}
+
+Tensor conv2d_forward(const Tensor& x, const Tensor& w,
+                      const Conv2dSpec& spec) {
+  const ConvShape s = conv_shape(x, w, spec);
+  const ConvPath path = conv_path(s.cin, s.cout, s.kh, s.kw, spec);
+  if (path == ConvPath::kDepthwise) return depthwise_forward(x, w, s);
+  return gemm_conv_forward(x, w, s, path == ConvPath::kPointwise);
+}
+
+Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
+                            const Tensor& grad_y, const Conv2dSpec& spec) {
+  const ConvShape s = conv_shape(x, w, spec);
+  FMS_CHECK(grad_y.ndim() == 4 && grad_y.dim(0) == s.n &&
+            grad_y.dim(1) == s.cout && grad_y.dim(2) == s.ho &&
+            grad_y.dim(3) == s.wo);
+  const ConvPath path = conv_path(s.cin, s.cout, s.kh, s.kw, spec);
+  if (path == ConvPath::kDepthwise) return depthwise_backward(x, w, grad_y, s);
+  return gemm_conv_backward(x, w, grad_y, s, path == ConvPath::kPointwise);
 }
 
 MaxPoolResult maxpool2d_forward(const Tensor& x, int kernel, int stride,
@@ -249,14 +668,9 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   FMS_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.dim(1) == b.dim(0));
   const int m = a.dim(0), k = a.dim(1), n = b.dim(1);
   Tensor c({m, n});
-  for (int i = 0; i < m; ++i) {
-    for (int kk = 0; kk < k; ++kk) {
-      const float av = a.at2(i, kk);
-      // fms-lint: allow(float-eq) -- exact-zero sparsity skip
-      if (av == 0.0F) continue;
-      for (int j = 0; j < n; ++j) c.at2(i, j) += av * b.at2(kk, j);
-    }
-  }
+  std::vector<float> panel;
+  gemm(m, n, k, MatRef{a.data(), k, 1}, MatRef{b.data(), n, 1}, c.data(), n,
+       /*accumulate=*/false, panel);
   return c;
 }
 
@@ -264,17 +678,16 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   FMS_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.dim(0) == b.dim(0));
   const int k = a.dim(0), m = a.dim(1), n = b.dim(1);
   Tensor c({m, n});
-  for (int kk = 0; kk < k; ++kk) {
-    for (int i = 0; i < m; ++i) {
-      const float av = a.at2(kk, i);
-      // fms-lint: allow(float-eq) -- exact-zero sparsity skip
-      if (av == 0.0F) continue;
-      for (int j = 0; j < n; ++j) c.at2(i, j) += av * b.at2(kk, j);
-    }
-  }
+  std::vector<float> panel;
+  gemm(m, n, k, MatRef{a.data(), 1, m}, MatRef{b.data(), n, 1}, c.data(), n,
+       /*accumulate=*/false, panel);
   return c;
 }
 
+// Kept as a direct loop: GCC vectorizes its products and adds them in
+// order unfused, which the GEMM's fused multiply-adds do not reproduce;
+// routing it through the GEMM would move every search trajectory by that
+// rounding.
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   FMS_CHECK(a.ndim() == 2 && b.ndim() == 2 && a.dim(1) == b.dim(1));
   const int m = a.dim(0), k = a.dim(1), n = b.dim(0);

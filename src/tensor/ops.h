@@ -3,6 +3,21 @@
 // Convolutions support stride / padding / dilation / groups, which covers
 // everything the DARTS operation set needs (plain, depthwise-separable and
 // dilated separable convolutions). Shapes are NCHW.
+//
+// conv2d_forward / conv2d_backward pick one of three paths from the spec
+// and the shapes (conv_path):
+//   - pointwise: 1x1, stride 1, no padding. Per sample and group,
+//     y = W * x, grad_w += grad_y * x^T and grad_x = W^T * grad_y as a
+//     register-blocked GEMM straight on the NCHW planes.
+//   - depthwise: groups == C_in == C_out (sep_conv, dil_conv). A direct
+//     kernel over a zero-padded copy of each plane: no bounds test per
+//     term, vectorized across output positions (grad_w across channels).
+//   - im2col: everything else (stem, strided 1x1, grouped convs). A
+//     per-call im2col buffer and the same GEMM; grad_x is gathered
+//     through the taps on padded planes.
+// Every path adds each element's terms in the order of the direct loops
+// kept as the test oracle (tests/conv_reference.h), so the paths change
+// speed, not results. matmul and matmul_tn share the GEMM.
 #pragma once
 
 #include <utility>
@@ -21,6 +36,10 @@ struct Conv2dSpec {
 
 // Output spatial size for one dimension.
 int conv_out_size(int in, int kernel, int stride, int padding, int dilation);
+
+enum class ConvPath { kPointwise, kDepthwise, kIm2col };
+// The path conv2d_forward / conv2d_backward take for these shapes.
+ConvPath conv_path(int cin, int cout, int kh, int kw, const Conv2dSpec& spec);
 
 // y[N, Cout, Ho, Wo] = conv(x[N, Cin, H, W], w[Cout, Cin/groups, kh, kw]).
 Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Conv2dSpec& spec);

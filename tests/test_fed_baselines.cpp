@@ -52,6 +52,22 @@ TEST(Serialize, UnderflowThrows) {
   EXPECT_THROW(r.read<double>(), CheckError);
 }
 
+// An empty vector serializes as its 8-byte zero length alone and reads
+// back empty without touching its (possibly null) data pointer.
+TEST(Serialize, EmptyVectorRoundTrips) {
+  ByteWriter w;
+  w.write_vector(std::vector<float>{});
+  w.write(7);
+  ASSERT_EQ(w.bytes().size(), sizeof(std::uint64_t) + sizeof(int));
+  for (std::size_t i = 0; i < sizeof(std::uint64_t); ++i) {
+    EXPECT_EQ(w.bytes()[i], 0u);
+  }
+  ByteReader r(w.bytes());
+  EXPECT_TRUE(r.read_vector<float>().empty());
+  EXPECT_EQ(r.read<int>(), 7);
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(Messages, SubmodelMsgRoundTrip) {
   SubmodelMsg msg;
   msg.round = 7;
