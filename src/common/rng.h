@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -47,8 +48,17 @@ class Rng {
   }
 
   // Samples an index according to the (unnormalized, non-negative) weights.
+  // Their sum must be finite and positive: a NaN, infinite or all-zero
+  // weight vector is not a distribution.
   int categorical(const std::vector<float>& weights) {
     FMS_CHECK(!weights.empty());
+    double sum = 0.0;
+    for (float w : weights) {
+      FMS_CHECK_MSG(w >= 0.0F, "categorical weight " << w << " is negative or NaN");
+      sum += w;
+    }
+    FMS_CHECK_MSG(std::isfinite(sum) && sum > 0.0,
+                  "categorical weights sum to " << sum);
     std::discrete_distribution<int> d(weights.begin(), weights.end());
     return d(engine_);
   }

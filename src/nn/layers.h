@@ -86,7 +86,8 @@ class MaxPool2d : public Module {
 
  private:
   int kernel_, stride_, padding_;
-  Tensor cached_x_;
+  // Backward needs the argmax and the input's shape, not the input.
+  std::vector<int> cached_shape_;
   std::vector<std::size_t> cached_argmax_;
   bool has_cache_ = false;
 };
@@ -104,7 +105,7 @@ class AvgPool2d : public Module {
 
  private:
   int kernel_, stride_, padding_;
-  Tensor cached_x_;
+  std::vector<int> cached_shape_;  // backward reads only the input's shape
   bool has_cache_ = false;
 };
 
@@ -126,7 +127,7 @@ class GlobalAvgPool : public Module {
   }
 
  private:
-  Tensor cached_x_;
+  std::vector<int> cached_shape_;  // backward reads only the input's shape
   bool has_cache_ = false;
 };
 

@@ -1,12 +1,15 @@
 // Layer abstraction with explicit forward/backward.
 //
-// Modules cache whatever the backward pass needs during forward(train=true),
-// and backward() consumes that cache: it releases the cached activations,
-// so a model holds only its parameters (and BatchNorm statistics) between
-// steps. Calling backward() after an eval-mode forward, or a second time
-// after one train forward, is a programming error and is checked. clone()
-// performs a deep copy, which is how sub-models are materialized from
-// supernet operations.
+// Modules cache what the backward pass reads, and no more, during
+// forward(train=true): Conv2d, ReLU and Linear keep their input,
+// BatchNorm2d its normalized input and per-channel 1/std, MaxPool2d the
+// argmax and the input's shape, and AvgPool2d and GlobalAvgPool only the
+// input's shape. backward() consumes that cache: it releases the cached
+// activations, so a model holds only its parameters (and BatchNorm
+// statistics) between steps. Calling backward() after an eval-mode
+// forward, or a second time after one train forward, is a programming
+// error and is checked. clone() performs a deep copy, which is how
+// sub-models are materialized from supernet operations.
 #pragma once
 
 #include <memory>
@@ -73,17 +76,20 @@ class Sequential : public Module {
     return *this;
   }
 
+  // The first child reads the caller's tensor directly: no copy.
   Tensor forward(const Tensor& x, bool train) override {
-    Tensor h = x;
-    for (auto& m : children_) h = m->forward(h, train);
+    if (children_.empty()) return x;
+    Tensor h = children_.front()->forward(x, train);
+    for (std::size_t i = 1; i < children_.size(); ++i)
+      h = children_[i]->forward(h, train);
     return h;
   }
 
   Tensor backward(const Tensor& grad_out) override {
-    Tensor g = grad_out;
-    for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-      g = (*it)->backward(g);
-    }
+    if (children_.empty()) return grad_out;
+    Tensor g = children_.back()->backward(grad_out);
+    for (std::size_t i = children_.size() - 1; i-- > 0;)
+      g = children_[i]->backward(g);
     return g;
   }
 

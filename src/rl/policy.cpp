@@ -75,9 +75,14 @@ ArchPolicy::ArchPolicy(int num_edges, AlphaOptConfig cfg)
 
 namespace {
 
+// A row poisoned by a non-finite alpha (an unscreened NaN update can
+// reach it) has no distribution to sample from; it draws a uniform op.
 int sample_edge(const std::array<float, kNumOps>& alpha_row, Rng& rng) {
   const auto p = alpha_softmax(alpha_row);
   std::vector<float> w(p.begin(), p.end());
+  double sum = 0.0;
+  for (float v : w) sum += v;
+  if (!std::isfinite(sum) || !(sum > 0.0)) return rng.randint(0, kNumOps - 1);
   return rng.categorical(w);
 }
 

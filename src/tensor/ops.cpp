@@ -24,6 +24,7 @@ namespace {
 // lowers to (one AVX register, two SSE registers, ...).
 // ---------------------------------------------------------------------
 using Vec8 = float __attribute__((vector_size(32)));
+using Vec8i = int __attribute__((vector_size(32)));  // a Vec8 comparison
 constexpr int kLanes = 8;
 
 inline Vec8 load8(const float* p) {
@@ -33,6 +34,7 @@ inline Vec8 load8(const float* p) {
 }
 inline void store8(float* p, Vec8 v) { std::memcpy(p, &v, sizeof(v)); }
 inline Vec8 splat8(float s) { return Vec8{s, s, s, s, s, s, s, s}; }
+inline Vec8i splat8i(int s) { return Vec8i{s, s, s, s, s, s, s, s}; }
 
 // A strided matrix operand: element (r, c) is p[r * rs + c * cs], so one
 // view covers a row-major matrix and its transpose.
@@ -486,6 +488,80 @@ Conv2dGrads depthwise_backward(const Tensor& x, const Tensor& w,
   return out;
 }
 
+// ---------------------------------------------------------------------
+// Pooling. Each output clips its window to the plane once: kernel rows
+// and columns [lo, hi) are the taps that land inside it, visited in
+// (r, c) order like the direct loops kept as the test oracle
+// (tests/layer_reference.cpp), with no bounds test per tap. Planes (one
+// per (n, c)) run kLanes at a time, interleaved one plane per lane, so
+// every lane shares the window's tap range.
+// ---------------------------------------------------------------------
+
+// Output o's window starts at input o * stride - padding; its taps
+// [lo, hi) land inside [0, in).
+struct TapSpan {
+  int start, lo, hi;
+};
+
+TapSpan tap_span(int o, int in, int kernel, int stride, int padding) {
+  const int start = o * stride - padding;
+  const int lo = std::max(0, -start);
+  const int hi = std::min(kernel, in - start);
+  return {start, std::min(lo, hi), hi};
+}
+
+struct PoolWindow {
+  TapSpan row, col;
+  int w;  // input row length
+
+  bool empty() const { return row.lo == row.hi || col.lo == col.hi; }
+  int first() const { return (row.start + row.lo) * w + col.start + col.lo; }
+  // tap(i) for the input position i of every valid tap, in (r, c) order.
+  template <typename Tap>
+  void for_each_tap(Tap&& tap) const {
+    for (int r = row.lo; r < row.hi; ++r)
+      for (int c = col.lo; c < col.hi; ++c) tap((row.start + r) * w + col.start + c);
+  }
+};
+
+struct PoolGeometry {
+  PoolGeometry(const std::vector<int>& x_shape, int kernel, int stride,
+               int padding) {
+    FMS_CHECK(x_shape.size() == 4);
+    planes = x_shape[0] * x_shape[1];
+    w = x_shape[3];
+    ho = conv_out_size(x_shape[2], kernel, stride, padding, 1);
+    wo = conv_out_size(w, kernel, stride, padding, 1);
+    in_plane = x_shape[2] * w;
+    out_plane = ho * wo;
+    for (int oh = 0; oh < ho; ++oh)
+      rows.push_back(tap_span(oh, x_shape[2], kernel, stride, padding));
+    for (int ow = 0; ow < wo; ++ow)
+      cols.push_back(tap_span(ow, w, kernel, stride, padding));
+  }
+
+  // window(q, win) for every output position q = oh * wo + ow.
+  template <typename Window>
+  void for_each_window(Window&& window) const {
+    for (int oh = 0; oh < ho; ++oh)
+      for (int ow = 0; ow < wo; ++ow)
+        window(oh * wo + ow, PoolWindow{rows[oh], cols[ow], w});
+  }
+
+  int planes, w, ho, wo, in_plane, out_plane;
+  std::vector<TapSpan> rows, cols;  // per oh / per ow
+};
+
+// Inverse of interleave() over one row of `positions`: lane `lane` of
+// position q goes to dst[lane * positions + q].
+template <typename T>
+void deinterleave(const T* src, int lanes, int positions, T* dst) {
+  for (int lane = 0; lane < lanes; ++lane, dst += positions) {
+    for (int q = 0; q < positions; ++q)
+      dst[q] = src[static_cast<std::ptrdiff_t>(q) * kLanes + lane];
+  }
+}
+
 }  // namespace
 
 ConvPath conv_path(int cin, int cout, int kh, int kw, const Conv2dSpec& spec) {
@@ -516,150 +592,163 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
 
 MaxPoolResult maxpool2d_forward(const Tensor& x, int kernel, int stride,
                                 int padding) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int ho = conv_out_size(h, kernel, stride, padding, 1);
-  const int wo = conv_out_size(w, kernel, stride, padding, 1);
-  MaxPoolResult res{Tensor({n, c, ho, wo}), {}};
+  const PoolGeometry g(x.shape(), kernel, stride, padding);
+  MaxPoolResult res{Tensor({x.dim(0), x.dim(1), g.ho, g.wo}), {}};
   res.argmax.resize(res.y.numel());
-  std::size_t oi = 0;
-  for (int in = 0; in < n; ++in) {
-    for (int ic = 0; ic < c; ++ic) {
-      for (int oh = 0; oh < ho; ++oh) {
-        for (int ow = 0; ow < wo; ++ow, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          bool found = false;
-          for (int r = 0; r < kernel; ++r) {
-            const int ih = oh * stride - padding + r;
-            if (ih < 0 || ih >= h) continue;
-            for (int cc = 0; cc < kernel; ++cc) {
-              const int iw = ow * stride - padding + cc;
-              if (iw < 0 || iw >= w) continue;
-              const float v = x.at4(in, ic, ih, iw);
-              if (!found || v > best) {
-                best = v;
-                best_idx = x.offset4(in, ic, ih, iw);
-                found = true;
-              }
-            }
-          }
-          // Window fully in padding cannot happen with valid out sizes.
-          res.y[oi] = found ? best : 0.0F;
-          res.argmax[oi] = best_idx;
-        }
+  std::vector<float> xi(static_cast<std::size_t>(g.in_plane) * kLanes);
+  std::vector<float> yi(static_cast<std::size_t>(g.out_plane) * kLanes);
+  std::vector<int> ai(yi.size());
+  for (int p0 = 0; p0 < g.planes; p0 += kLanes) {
+    const int lanes = std::min(kLanes, g.planes - p0);
+    interleave(x.data() + static_cast<std::ptrdiff_t>(p0) * g.in_plane,
+               g.in_plane, lanes, 1, g.in_plane, g.in_plane, xi.data());
+    g.for_each_window([&](int q, const PoolWindow& win) {
+      // The first valid tap seeds the max; a strict > keeps the first of
+      // tied taps and lets a NaN seed stick. A window of padding only
+      // gives 0 with argmax 0 (marked -1 until written back).
+      Vec8 best = {};
+      Vec8i idx = splat8i(-1);
+      if (!win.empty()) {
+        best = load8(xi.data() + static_cast<std::ptrdiff_t>(win.first()) * kLanes);
+        idx = splat8i(win.first());
+        win.for_each_tap([&](int i) {
+          const Vec8 v = load8(xi.data() + static_cast<std::ptrdiff_t>(i) * kLanes);
+          const Vec8i gt = v > best;
+          best = gt ? v : best;
+          idx = gt ? splat8i(i) : idx;
+        });
+      }
+      store8(yi.data() + static_cast<std::ptrdiff_t>(q) * kLanes, best);
+      std::memcpy(ai.data() + static_cast<std::ptrdiff_t>(q) * kLanes, &idx,
+                  sizeof(idx));
+    });
+    const std::ptrdiff_t out0 = static_cast<std::ptrdiff_t>(p0) * g.out_plane;
+    deinterleave(yi.data(), lanes, g.out_plane, res.y.data() + out0);
+    for (int lane = 0; lane < lanes; ++lane) {
+      const std::size_t plane =
+          static_cast<std::size_t>(p0 + lane) * static_cast<std::size_t>(g.in_plane);
+      for (int q = 0; q < g.out_plane; ++q) {
+        const int i = ai[static_cast<std::size_t>(q) * kLanes + lane];
+        res.argmax[static_cast<std::size_t>(out0 + std::ptrdiff_t{lane} * g.out_plane + q)] =
+            i < 0 ? 0 : plane + static_cast<std::size_t>(i);
       }
     }
   }
   return res;
 }
 
-Tensor maxpool2d_backward(const Tensor& x, const MaxPoolResult& fwd,
-                          const Tensor& grad_y) {
-  Tensor grad_x(x.shape());
+Tensor maxpool2d_backward(const std::vector<int>& x_shape,
+                          const MaxPoolResult& fwd, const Tensor& grad_y) {
+  Tensor grad_x(x_shape);
   FMS_CHECK(grad_y.numel() == fwd.argmax.size());
-  for (std::size_t i = 0; i < fwd.argmax.size(); ++i) {
-    grad_x[fwd.argmax[i]] += grad_y[i];
-  }
+  float* gx = grad_x.data();
+  const float* gy = grad_y.data();
+  for (std::size_t i = 0; i < fwd.argmax.size(); ++i) gx[fwd.argmax[i]] += gy[i];
   return grad_x;
 }
 
 Tensor avgpool2d_forward(const Tensor& x, int kernel, int stride, int padding) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int ho = conv_out_size(h, kernel, stride, padding, 1);
-  const int wo = conv_out_size(w, kernel, stride, padding, 1);
-  Tensor y({n, c, ho, wo});
-  const float inv = 1.0F / static_cast<float>(kernel * kernel);
-  for (int in = 0; in < n; ++in) {
-    for (int ic = 0; ic < c; ++ic) {
-      for (int oh = 0; oh < ho; ++oh) {
-        for (int ow = 0; ow < wo; ++ow) {
-          float acc = 0.0F;
-          for (int r = 0; r < kernel; ++r) {
-            const int ih = oh * stride - padding + r;
-            if (ih < 0 || ih >= h) continue;
-            for (int cc = 0; cc < kernel; ++cc) {
-              const int iw = ow * stride - padding + cc;
-              if (iw < 0 || iw >= w) continue;
-              acc += x.at4(in, ic, ih, iw);
-            }
-          }
-          // count_include_pad=True semantics (matches PyTorch default used
-          // by DARTS): divide by the full window size.
-          y.at4(in, ic, oh, ow) = acc * inv;
-        }
-      }
-    }
+  const PoolGeometry g(x.shape(), kernel, stride, padding);
+  Tensor y({x.dim(0), x.dim(1), g.ho, g.wo});
+  // count_include_pad=True semantics (matches PyTorch default used by
+  // DARTS): divide by the full window size.
+  const Vec8 inv = splat8(1.0F / static_cast<float>(kernel * kernel));
+  std::vector<float> xi(static_cast<std::size_t>(g.in_plane) * kLanes);
+  std::vector<float> yi(static_cast<std::size_t>(g.out_plane) * kLanes);
+  for (int p0 = 0; p0 < g.planes; p0 += kLanes) {
+    const int lanes = std::min(kLanes, g.planes - p0);
+    interleave(x.data() + static_cast<std::ptrdiff_t>(p0) * g.in_plane,
+               g.in_plane, lanes, 1, g.in_plane, g.in_plane, xi.data());
+    g.for_each_window([&](int q, const PoolWindow& win) {
+      Vec8 acc = {};
+      win.for_each_tap([&](int i) {
+        acc += load8(xi.data() + static_cast<std::ptrdiff_t>(i) * kLanes);
+      });
+      store8(yi.data() + static_cast<std::ptrdiff_t>(q) * kLanes, acc * inv);
+    });
+    deinterleave(yi.data(), lanes, g.out_plane,
+                 y.data() + static_cast<std::ptrdiff_t>(p0) * g.out_plane);
   }
   return y;
 }
 
-Tensor avgpool2d_backward(const Tensor& x, const Tensor& grad_y, int kernel,
-                          int stride, int padding) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int ho = grad_y.dim(2), wo = grad_y.dim(3);
-  Tensor grad_x(x.shape());
-  const float inv = 1.0F / static_cast<float>(kernel * kernel);
-  for (int in = 0; in < n; ++in) {
-    for (int ic = 0; ic < c; ++ic) {
-      for (int oh = 0; oh < ho; ++oh) {
-        for (int ow = 0; ow < wo; ++ow) {
-          const float gy = grad_y.at4(in, ic, oh, ow) * inv;
-          for (int r = 0; r < kernel; ++r) {
-            const int ih = oh * stride - padding + r;
-            if (ih < 0 || ih >= h) continue;
-            for (int cc = 0; cc < kernel; ++cc) {
-              const int iw = ow * stride - padding + cc;
-              if (iw < 0 || iw >= w) continue;
-              grad_x.at4(in, ic, ih, iw) += gy;
-            }
-          }
-        }
-      }
-    }
+Tensor avgpool2d_backward(const std::vector<int>& x_shape, const Tensor& grad_y,
+                          int kernel, int stride, int padding) {
+  const PoolGeometry g(x_shape, kernel, stride, padding);
+  FMS_CHECK(grad_y.numel() ==
+            static_cast<std::size_t>(g.planes) * static_cast<std::size_t>(g.out_plane));
+  Tensor grad_x(x_shape);
+  const Vec8 inv = splat8(1.0F / static_cast<float>(kernel * kernel));
+  std::vector<float> gyi(static_cast<std::size_t>(g.out_plane) * kLanes);
+  std::vector<float> gxi(static_cast<std::size_t>(g.in_plane) * kLanes);
+  for (int p0 = 0; p0 < g.planes; p0 += kLanes) {
+    const int lanes = std::min(kLanes, g.planes - p0);
+    interleave(grad_y.data() + static_cast<std::ptrdiff_t>(p0) * g.out_plane,
+               g.out_plane, lanes, 1, g.out_plane, g.out_plane, gyi.data());
+    std::fill(gxi.begin(), gxi.end(), 0.0F);
+    // Outputs in order, each adding its share to its taps in (r, c)
+    // order: every grad_x element sums in the direct loops' order.
+    g.for_each_window([&](int q, const PoolWindow& win) {
+      const Vec8 gv = load8(gyi.data() + static_cast<std::ptrdiff_t>(q) * kLanes) * inv;
+      win.for_each_tap([&](int i) {
+        float* p = gxi.data() + static_cast<std::ptrdiff_t>(i) * kLanes;
+        store8(p, load8(p) + gv);
+      });
+    });
+    deinterleave(gxi.data(), lanes, g.in_plane,
+                 grad_x.data() + static_cast<std::ptrdiff_t>(p0) * g.in_plane);
   }
   return grad_x;
 }
 
+// One in-order chain per plane; consecutive planes' chains are
+// independent, so they overlap in the core.
 Tensor global_avgpool_forward(const Tensor& x) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  Tensor y({n, c});
-  const float inv = 1.0F / static_cast<float>(h * w);
-  for (int in = 0; in < n; ++in) {
-    for (int ic = 0; ic < c; ++ic) {
-      float acc = 0.0F;
-      for (int ih = 0; ih < h; ++ih)
-        for (int iw = 0; iw < w; ++iw) acc += x.at4(in, ic, ih, iw);
-      y.at2(in, ic) = acc * inv;
-    }
+  FMS_CHECK(x.ndim() == 4);
+  const int planes = x.dim(0) * x.dim(1), hw = x.dim(2) * x.dim(3);
+  Tensor y({x.dim(0), x.dim(1)});
+  const float inv = 1.0F / static_cast<float>(hw);
+  const float* xp = x.data();
+  for (int p = 0; p < planes; ++p, xp += hw) {
+    float acc = 0.0F;
+    for (int i = 0; i < hw; ++i) acc += xp[i];
+    y[static_cast<std::size_t>(p)] = acc * inv;
   }
   return y;
 }
 
-Tensor global_avgpool_backward(const Tensor& x, const Tensor& grad_y) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  Tensor grad_x(x.shape());
-  const float inv = 1.0F / static_cast<float>(h * w);
-  for (int in = 0; in < n; ++in) {
-    for (int ic = 0; ic < c; ++ic) {
-      const float gy = grad_y.at2(in, ic) * inv;
-      for (int ih = 0; ih < h; ++ih)
-        for (int iw = 0; iw < w; ++iw) grad_x.at4(in, ic, ih, iw) = gy;
-    }
-  }
+Tensor global_avgpool_backward(const std::vector<int>& x_shape,
+                               const Tensor& grad_y) {
+  FMS_CHECK(x_shape.size() == 4);
+  Tensor grad_x(x_shape);
+  const std::ptrdiff_t hw = std::ptrdiff_t{x_shape[2]} * x_shape[3];
+  FMS_CHECK(grad_y.numel() * static_cast<std::size_t>(hw) == grad_x.numel());
+  const float inv = 1.0F / static_cast<float>(hw);
+  float* gx = grad_x.data();
+  for (std::size_t p = 0; p < grad_y.numel(); ++p, gx += hw)
+    std::fill(gx, gx + hw, grad_y[p] * inv);
   return grad_x;
 }
 
 Tensor relu_forward(const Tensor& x) {
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.numel(); ++i) y[i] = std::max(0.0F, y[i]);
+  Tensor y(x.shape());
+  const float* xp = x.data();
+  float* yp = y.data();
+  for (std::size_t i = 0; i < x.numel(); ++i) yp[i] = std::max(0.0F, xp[i]);
   return y;
 }
 
+// grad_y is loaded unconditionally so that the select vectorizes; a
+// branch on the sign of x mispredicts on every other element.
 Tensor relu_backward(const Tensor& x, const Tensor& grad_y) {
   FMS_CHECK(x.same_shape(grad_y));
   Tensor grad_x(x.shape());
+  const float* xp = x.data();
+  const float* gy = grad_y.data();
+  float* gx = grad_x.data();
   for (std::size_t i = 0; i < x.numel(); ++i) {
-    grad_x[i] = x[i] > 0.0F ? grad_y[i] : 0.0F;
+    const float g = gy[i];
+    gx[i] = xp[i] > 0.0F ? g : 0.0F;
   }
   return grad_x;
 }

@@ -52,6 +52,8 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
                             const Tensor& grad_y, const Conv2dSpec& spec);
 
 // --- pooling ---
+// Backward passes read only the input's shape. The Tensor overloads take
+// it from the input itself.
 struct MaxPoolResult {
   Tensor y;
   // Flat input offset of the argmax for each output element.
@@ -59,16 +61,28 @@ struct MaxPoolResult {
 };
 MaxPoolResult maxpool2d_forward(const Tensor& x, int kernel, int stride,
                                 int padding);
-Tensor maxpool2d_backward(const Tensor& x, const MaxPoolResult& fwd,
-                          const Tensor& grad_y);
+Tensor maxpool2d_backward(const std::vector<int>& x_shape,
+                          const MaxPoolResult& fwd, const Tensor& grad_y);
+inline Tensor maxpool2d_backward(const Tensor& x, const MaxPoolResult& fwd,
+                                 const Tensor& grad_y) {
+  return maxpool2d_backward(x.shape(), fwd, grad_y);
+}
 
 Tensor avgpool2d_forward(const Tensor& x, int kernel, int stride, int padding);
-Tensor avgpool2d_backward(const Tensor& x, const Tensor& grad_y, int kernel,
-                          int stride, int padding);
+Tensor avgpool2d_backward(const std::vector<int>& x_shape, const Tensor& grad_y,
+                          int kernel, int stride, int padding);
+inline Tensor avgpool2d_backward(const Tensor& x, const Tensor& grad_y,
+                                 int kernel, int stride, int padding) {
+  return avgpool2d_backward(x.shape(), grad_y, kernel, stride, padding);
+}
 
 // Global average pooling: [N, C, H, W] -> [N, C].
 Tensor global_avgpool_forward(const Tensor& x);
-Tensor global_avgpool_backward(const Tensor& x, const Tensor& grad_y);
+Tensor global_avgpool_backward(const std::vector<int>& x_shape,
+                               const Tensor& grad_y);
+inline Tensor global_avgpool_backward(const Tensor& x, const Tensor& grad_y) {
+  return global_avgpool_backward(x.shape(), grad_y);
+}
 
 // --- activations ---
 Tensor relu_forward(const Tensor& x);

@@ -1,6 +1,7 @@
 // Tests for the common runtime: RNG determinism, statistics helpers,
 // tables, thread pool, config scaling.
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -56,6 +57,17 @@ TEST(Rng, CategoricalRespectsWeights) {
   Rng rng(4);
   std::vector<float> w{0.0F, 1.0F, 0.0F};
   for (int i = 0; i < 50; ++i) EXPECT_EQ(rng.categorical(w), 1);
+}
+
+TEST(Rng, CategoricalRejectsWeightsWithoutAFinitePositiveSum) {
+  Rng rng(4);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_THROW(rng.categorical({nan, 1.0F}), CheckError);
+  EXPECT_THROW(rng.categorical({inf, 1.0F}), CheckError);
+  EXPECT_THROW(rng.categorical({0.0F, 0.0F}), CheckError);
+  EXPECT_THROW(rng.categorical({-1.0F, 2.0F}), CheckError);
+  EXPECT_EQ(rng.categorical({0.0F, 2.0F}), 1);
 }
 
 TEST(Stats, ExpMovingAverageMatchesEq9) {

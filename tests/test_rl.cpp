@@ -1,6 +1,7 @@
 // Tests for the RL controller: softmax sampling, analytic log-prob
 // gradient vs finite differences, REINFORCE ascent direction, baseline.
 #include <cmath>
+#include <limits>
 
 #include "gtest/gtest.h"
 #include "src/rl/policy.h"
@@ -64,6 +65,35 @@ TEST(Policy, InitialPolicyIsUniform) {
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / trials, 1.0 / kNumOps, 0.03);
   }
+}
+
+// A NaN or infinite alpha (an unscreened poisoned update) leaves its row
+// without a distribution: that edge draws uniformly, the others sample
+// their softmax as before.
+TEST(Policy, NonFiniteAlphaRowSamplesUniformly) {
+  ArchPolicy policy(2, fast_cfg());
+  AlphaPair a = AlphaPair::zeros(2);
+  a.normal[0][2] = std::numeric_limits<float>::quiet_NaN();
+  a.reduce[1][5] = std::numeric_limits<float>::infinity();
+  a.normal[1][3] = 10.0F;
+  policy.set_alpha(a);
+  Rng rng(5);
+  std::vector<int> counts(kNumOps, 0), counts_inf(kNumOps, 0);
+  const int trials = 4000;
+  int hits = 0;
+  for (int i = 0; i < trials; ++i) {
+    const Mask m = policy.sample(rng);
+    ++counts[static_cast<std::size_t>(m.normal[0])];
+    ++counts_inf[static_cast<std::size_t>(m.reduce[1])];
+    if (m.normal[1] == 3) ++hits;
+  }
+  for (int op = 0; op < kNumOps; ++op) {
+    EXPECT_NEAR(static_cast<double>(counts[static_cast<std::size_t>(op)]) / trials,
+                1.0 / kNumOps, 0.03);
+    EXPECT_NEAR(static_cast<double>(counts_inf[static_cast<std::size_t>(op)]) / trials,
+                1.0 / kNumOps, 0.03);
+  }
+  EXPECT_GT(hits, trials * 99 / 100);
 }
 
 TEST(Policy, SampleRespectsSkewedAlpha) {

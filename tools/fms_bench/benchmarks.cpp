@@ -90,6 +90,24 @@ Benchmark agg_bench(const std::string& name, const std::string& spec,
       }};
 }
 
+// One train-mode forward and backward of a parameter-free layer on
+// Gaussian [32, 8, 8, 8] input and output gradient.
+template <typename MakeLayer>
+Benchmark layer_fwd_bwd_bench(const std::string& name, int iters,
+                              std::uint64_t seed, MakeLayer make_layer) {
+  return Benchmark{
+      name, iters, [seed, make_layer]() -> std::function<void()> {
+        Rng rng(seed);
+        std::shared_ptr<Module> layer = make_layer();
+        auto x = std::make_shared<Tensor>(Tensor::randn({32, 8, 8, 8}, rng));
+        auto g = std::make_shared<Tensor>(Tensor::randn({32, 8, 8, 8}, rng));
+        return [layer, x, g] {
+          layer->forward(*x, /*train=*/true);
+          layer->backward(*g);
+        };
+      }};
+}
+
 }  // namespace
 
 std::vector<Benchmark> default_benchmarks() {
@@ -136,6 +154,15 @@ std::vector<Benchmark> default_benchmarks() {
                       bn->backward(*g);
                     };
                   }});
+  // ReLU and the 3x3 pools at the retrain shape (batch 32, C=8, 8x8).
+  list.push_back(layer_fwd_bwd_bench("nn.relu_fwd_bwd", 40, 10,
+                                     [] { return std::make_shared<ReLU>(); }));
+  list.push_back(layer_fwd_bwd_bench("nn.maxpool_fwd_bwd", 10, 11, [] {
+    return std::make_shared<MaxPool2d>(3, 1, 1);
+  }));
+  list.push_back(layer_fwd_bwd_bench("nn.avgpool_fwd_bwd", 10, 12, [] {
+    return std::make_shared<AvgPool2d>(3, 1, 1);
+  }));
   list.push_back({"nn.sep_conv_fwd", 10, []() -> std::function<void()> {
                     Rng rng(5);
                     auto op = std::shared_ptr<Module>(
