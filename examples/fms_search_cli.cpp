@@ -72,8 +72,9 @@ const char* kUsage =
     "                        continue; requires --journal and --checkpoint\n"
     "\n"
     "observability flags:\n"
-    "  --profile             enable the in-process profiler + allocation\n"
-    "                        ledger; prints the merged self-time table and\n"
+    "  --profile             enable the in-process profiler (zone times, op\n"
+    "                        work and allocation ledgers); prints the\n"
+    "                        merged self-time table and\n"
     "                        allocation totals after the run (adds per-zone\n"
     "                        \"profile\" events to --trace-jsonl). Off by\n"
     "                        default: results are bit-identical either way\n"
@@ -88,7 +89,7 @@ const char* kUsage =
     "  --flight-dump PATH    flight-recorder dump target\n"
     "                        (default fms_flight.jsonl)\n"
     "  --report PATH         write a self-contained HTML run report; forces\n"
-    "                        --profile plus the work ledger, defaults\n"
+    "                        --profile, defaults\n"
     "                        --trace-jsonl/--metrics-csv/--health-report to\n"
     "                        PATH-derived sidecars when unset, and prints a\n"
     "                        roofline summary line (bit-identical search)\n"
@@ -290,9 +291,10 @@ int main(int argc, char** argv) {
                  kUsage);
     return 2;
   }
-  // --report needs the profiler + work ledger on and the run's artifacts
-  // on disk; derive sidecar paths for any the user didn't name. Both
-  // ledgers observe only — the search trajectory stays bit-identical.
+  // --report needs profiling on (zone times, op work, allocations) and the
+  // run's artifacts on disk; derive sidecar paths for any the user didn't
+  // name. Profiling observes only — the search trajectory stays
+  // bit-identical.
   if (!report_path.empty()) {
     profile = true;
     if (trace_jsonl.empty()) trace_jsonl = report_path + ".trace.jsonl";
@@ -328,7 +330,6 @@ int main(int argc, char** argv) {
   cfg.telemetry.trace_jsonl_path = trace_jsonl;
   cfg.telemetry.metrics_csv_path = metrics_csv;
   cfg.telemetry.profile = profile;
-  cfg.telemetry.work = !report_path.empty();
   cfg.telemetry.trace_chrome_path = trace_chrome;
   // The health monitor is always on in the CLI: it only observes the
   // round stream (bit-identical results) and the exit summary below is
@@ -557,21 +558,16 @@ int main(int argc, char** argv) {
     const obs::MachinePeak peak = obs::load_or_calibrate(peak_cache);
     obs::emit_roofline_telemetry(peak);
     const obs::WorkReport work = obs::collect_work();
-    const obs::ProfileReport prof = obs::collect_profile();
     const obs::WorkRow* top = nullptr;
     for (const obs::WorkRow& row : work.rows) {
       if (top == nullptr || row.cost.flops > top->cost.flops) top = &row;
     }
     if (top != nullptr && top->cost.flops > 0) {
-      std::uint64_t ns = 0;
-      for (const obs::ZoneStats& z : prof.zones) {
-        if (z.name == top->op) ns += z.incl_ns;
-      }
       const double ai = obs::arithmetic_intensity(top->cost);
       const double gf =
-          ns > 0 ? static_cast<double>(top->cost.flops) /
-                       static_cast<double>(ns)
-                 : 0.0;
+          top->incl_ns > 0 ? static_cast<double>(top->cost.flops) /
+                                 static_cast<double>(top->incl_ns)
+                           : 0.0;
       const double roof = obs::roofline_gflops(peak, ai);
       std::printf(
           "roofline: vector %.2f GF/s scalar %.2f GF/s stream %.2f GB/s; "

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "src/common/check.h"
-#include "src/obs/profile.h"
 #include "src/obs/work.h"
 
 namespace fms::agg {
@@ -39,10 +38,9 @@ int clamp_krum(int f, std::size_t n) {
 }
 
 AggregationOutcome aggregate_mean(const std::vector<std::vector<float>>& u) {
-  FMS_PROFILE_ZONE("agg.mean");
   AggregationOutcome out;
   const std::size_t dim = u.front().size();
-  FMS_WORK("agg.mean", obs::agg_mean_cost(u.size(), dim));
+  FMS_OP("agg.mean", obs::agg_mean_cost(u.size(), dim));
   const double inv_n = 1.0 / static_cast<double>(u.size());
   out.grad.assign(dim, 0.0F);
   for (std::size_t c = 0; c < dim; ++c) {
@@ -55,10 +53,9 @@ AggregationOutcome aggregate_mean(const std::vector<std::vector<float>>& u) {
 
 AggregationOutcome aggregate_clipped_mean(
     const std::vector<std::vector<float>>& u, float k) {
-  FMS_PROFILE_ZONE("agg.clipped_mean");
   AggregationOutcome out;
   const std::size_t dim = u.front().size();
-  FMS_WORK("agg.clipped_mean", obs::agg_clipped_mean_cost(u.size(), dim));
+  FMS_OP("agg.clipped_mean", obs::agg_clipped_mean_cost(u.size(), dim));
   std::vector<double> norms;
   norms.reserve(u.size());
   for (const auto& g : u) norms.push_back(l2_norm(g));
@@ -104,11 +101,10 @@ double participation_scale(std::size_t n_j, std::size_t m) {
 AggregationOutcome aggregate_coordinate_median(
     const std::vector<std::vector<float>>& u,
     const std::vector<std::vector<std::uint8_t>>& presence) {
-  FMS_PROFILE_ZONE("agg.coordinate_median");
   AggregationOutcome out;
   const std::size_t dim = u.front().size();
-  FMS_WORK("agg.coordinate_median",
-           obs::agg_coordinate_median_cost(u.size(), dim));
+  FMS_OP("agg.coordinate_median",
+         obs::agg_coordinate_median_cost(u.size(), dim));
   out.grad.assign(dim, 0.0F);
   std::vector<float> col;
   col.reserve(u.size());
@@ -130,10 +126,9 @@ AggregationOutcome aggregate_coordinate_median(
 AggregationOutcome aggregate_trimmed_mean(
     const std::vector<std::vector<float>>& u,
     const std::vector<std::vector<std::uint8_t>>& presence, int f) {
-  FMS_PROFILE_ZONE("agg.trimmed_mean");
   AggregationOutcome out;
   const std::size_t dim = u.front().size();
-  FMS_WORK("agg.trimmed_mean", obs::agg_trimmed_mean_cost(u.size(), dim));
+  FMS_OP("agg.trimmed_mean", obs::agg_trimmed_mean_cost(u.size(), dim));
   out.grad.assign(dim, 0.0F);
   std::vector<float> col;
   col.reserve(u.size());
@@ -193,10 +188,9 @@ std::vector<double> krum_scores(const std::vector<std::vector<float>>& u,
 
 AggregationOutcome aggregate_krum(const std::vector<std::vector<float>>& u,
                                   int f, bool multi) {
-  FMS_PROFILE_ZONE("agg.krum");
   AggregationOutcome out;
   const std::size_t n = u.size();
-  FMS_WORK("agg.krum", obs::agg_krum_cost(n, u.front().size()));
+  FMS_OP("agg.krum", obs::agg_krum_cost(n, u.front().size()));
   if (n == 1) {
     out.grad = u.front();
     out.selected = {0};
@@ -317,10 +311,9 @@ AggregationOutcome aggregate(const AggregatorConfig& cfg,
 AggregationOutcome aggregate(
     const AggregatorConfig& cfg, const std::vector<std::vector<float>>& updates,
     const std::vector<std::vector<std::uint8_t>>& presence) {
-  FMS_PROFILE_ZONE("agg.estimate");
+  FMS_OP("agg.estimate");
   FMS_CHECK_MSG(!updates.empty(), "aggregate needs at least one update");
   const std::size_t dim = updates.front().size();
-  FMS_PROFILE_BYTES(updates.size() * dim * sizeof(float));
   for (const auto& u : updates) {
     FMS_CHECK_MSG(u.size() == dim, "aggregate dimension mismatch");
   }

@@ -1,6 +1,6 @@
 // Experiment configuration mirroring Table I of the paper, plus the
 // substrate-scale knobs this reproduction adds (image size, channel count,
-// number of cells) so the same pipeline runs on a 1-core CPU.
+// number of cells) so the same pipeline runs on a small multi-core CPU.
 #pragma once
 
 #include <cstdint>
@@ -75,14 +75,12 @@ struct TelemetryConfig {
   std::string metrics_csv_path;  // registry snapshot written at end of run
   bool console = false;          // per-round progress one-liner
   int console_every = 25;        // console line cadence in rounds
-  // Scoped-zone profiler + tensor allocation accounting (src/obs/profile).
-  // Off by default: the disabled path is one relaxed atomic load per zone
-  // and search output is bit-identical either way.
+  // The one instrumentation flag: FMS_OP zones with their CPU time, op
+  // cost (FLOP/byte work ledger, src/obs/work) and tensor allocations
+  // (src/obs/profile, src/obs/alloc.h). Off by default: an op is one
+  // relaxed atomic load and its cost expression is never evaluated; search
+  // output is bit-identical either way.
   bool profile = false;
-  // Per-op FLOP/byte work ledger (src/obs/work). Same contract as the
-  // profiler: one relaxed atomic load per site when off, bit-identical
-  // search output either way.
-  bool work = false;
   // Causal round tracing (src/obs/trace_ctx): a non-empty path exports the
   // per-participant lifecycle as Chrome trace-event JSON (sim-time ticks;
   // load at ui.perfetto.dev). Bit-identical on/off, like the profiler.

@@ -67,7 +67,7 @@ class ThreadPool {
       return;
     }
     const std::vector<const char*> zone_path = obs::current_zone_path();
-    const bool track_allocs = obs::alloc_tracking_enabled();
+    const bool track_allocs = obs::profiling_enabled();
     const std::int64_t live_before =
         track_allocs ? obs::alloc_stats().live_bytes : 0;
     std::vector<obs::TaskAlloc> allocs(track_allocs ? n : 0);

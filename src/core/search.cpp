@@ -842,22 +842,24 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
         // Eq. 13 exactly, preserving the pre-robustness float-op order:
         // scatter each accepted gradient in arrival order, then scale by
         // 1/m — bit-identical to the legacy in-loop scatter.
-        FMS_WORK("agg.mean",
+        {
+          FMS_OP("agg.mean",
                  scatter_mean_cost(applied_grads, supernet_->params()));
-        for (std::size_t u = 0; u < applied_grads.size(); ++u) {
-          supernet_->scatter_add_grads(applied_ids[u], applied_grads[u]);
-          if (tracing) {
-            trace.record(applied_from[u].first, obs::Stage::kAggregate, 0.0,
-                         0.0, 0.0, "applied", applied_from[u].second);
+          for (std::size_t u = 0; u < applied_grads.size(); ++u) {
+            supernet_->scatter_add_grads(applied_ids[u], applied_grads[u]);
+            if (tracing) {
+              trace.record(applied_from[u].first, obs::Stage::kAggregate,
+                           0.0, 0.0, 0.0, "applied", applied_from[u].second);
+            }
+          }
+          if (opts.update_theta) {
+            const float inv_m = 1.0F / static_cast<float>(m);
+            for (Param* p : supernet_->params()) {
+              for (float& g : p->grad.vec()) g *= inv_m;
+            }
           }
         }
-        if (opts.update_theta) {
-          const float inv_m = 1.0F / static_cast<float>(m);
-          for (Param* p : supernet_->params()) {
-            for (float& g : p->grad.vec()) g *= inv_m;
-          }
-          theta_opt_.step(supernet_->params());
-        }
+        if (opts.update_theta) theta_opt_.step(supernet_->params());
       } else {
         // Robust estimator: densify each masked update into the whole-net
         // coordinate space (unsampled ops contribute zero gradient, the
@@ -947,7 +949,7 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
     sig.live = rec.live;
     sig.joined = rec.joined;
     sig.left = rec.left;
-    if (obs::alloc_tracking_enabled()) {
+    if (obs::profiling_enabled()) {
       sig.live_alloc_bytes = obs::alloc_stats().live_bytes;
     }
     rec.health = static_cast<int>(health_->observe(rec, sig));
@@ -1135,14 +1137,12 @@ void FederatedSearch::record_round_telemetry(const RoundRecord& rec,
 
   // With --profile on, flush the zone tree into the sinks each round:
   // one "profile" trace event per zone plus the fms.prof.* / fms.alloc.*
-  // gauges (cumulative since the last reset_profiler()).
+  // gauges, then one "work" event per op plus the fms.work.* gauges from
+  // the same tree (cumulative since the last reset_profiler()).
   if (obs::profiling_enabled()) {
-    obs::emit_profile_telemetry(obs::collect_profile());
-  }
-  // Same cadence for the work ledger: one "work" event per op plus the
-  // fms.work.* gauges (cumulative since the last reset_work_ledger()).
-  if (obs::work_tracking_enabled()) {
-    obs::emit_work_telemetry(obs::collect_work());
+    const obs::ProfileReport profile = obs::collect_profile();
+    obs::emit_profile_telemetry(profile);
+    obs::emit_work_telemetry(obs::collect_work(profile));
   }
 }
 

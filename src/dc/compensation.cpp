@@ -1,6 +1,5 @@
 #include "src/dc/compensation.h"
 
-#include "src/obs/profile.h"
 #include "src/obs/span.h"
 #include "src/obs/work.h"
 
@@ -19,10 +18,9 @@ const char* stale_policy_name(StalePolicy p) {
 std::vector<float> compensate_weight_gradient(
     const std::vector<float>& stale_grad, const std::vector<float>& fresh_w,
     const std::vector<float>& stale_w, float lambda) {
-  FMS_SPAN("dc.weight");
+  FMS_SPAN("dc.weight", obs::dc_compensate_cost(stale_grad.size()));
   FMS_CHECK(stale_grad.size() == fresh_w.size() &&
             stale_grad.size() == stale_w.size());
-  FMS_WORK("dc.weight", obs::dc_compensate_cost(stale_grad.size()));
   std::vector<float> out(stale_grad.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     const float h = stale_grad[i];
@@ -35,13 +33,12 @@ AlphaPair compensate_alpha_gradient(const AlphaPair& stale_grad,
                                     const AlphaPair& alpha_now,
                                     const AlphaPair& alpha_stale,
                                     float lambda) {
-  FMS_SPAN("dc.alpha");
-  FMS_CHECK(stale_grad.normal.size() == alpha_now.normal.size() &&
-            stale_grad.normal.size() == alpha_stale.normal.size());
-  FMS_WORK("dc.alpha",
+  FMS_SPAN("dc.alpha",
            obs::dc_compensate_cost(
                (stale_grad.normal.size() + stale_grad.reduce.size()) *
                static_cast<std::size_t>(kNumOps)));
+  FMS_CHECK(stale_grad.normal.size() == alpha_now.normal.size() &&
+            stale_grad.normal.size() == alpha_stale.normal.size());
   AlphaPair out = stale_grad;
   auto apply = [lambda](AlphaTable& g, const AlphaTable& now,
                         const AlphaTable& stale) {
@@ -59,7 +56,7 @@ AlphaPair compensate_alpha_gradient(const AlphaPair& stale_grad,
 }
 
 void MemoryPool::save(int round, RoundSnapshot snapshot) {
-  FMS_PROFILE_ZONE("dc.pool_save");
+  FMS_OP("dc.pool_save");
   snapshots_[round] = std::move(snapshot);
 }
 
@@ -69,7 +66,7 @@ const RoundSnapshot* MemoryPool::find(int round) const {
 }
 
 void MemoryPool::evict(int current_round) {
-  FMS_PROFILE_ZONE("dc.pool_evict");
+  FMS_OP("dc.pool_evict");
   const int oldest_kept = current_round - threshold_;
   for (auto it = snapshots_.begin(); it != snapshots_.end();) {
     if (it->first < oldest_kept) {

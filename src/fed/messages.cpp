@@ -1,6 +1,5 @@
 #include "src/fed/messages.h"
 
-#include "src/obs/profile.h"
 #include "src/obs/work.h"
 
 namespace fms {
@@ -25,19 +24,19 @@ Mask read_mask(ByteReader& r) {
 }  // namespace
 
 std::vector<std::uint8_t> SubmodelMsg::serialize() const {
-  FMS_PROFILE_ZONE("fed.encode");
+  // The payload size, and so the cost, is known only after writing.
+  obs::ScopedOp op("fed.encode");
   ByteWriter w;
   w.write(round);
   write_mask(w, mask);
   w.write_vector(values);
   std::vector<std::uint8_t> out = w.take();
-  FMS_WORK("fed.encode", obs::codec_cost(out.size()));
+  op.add_cost(obs::codec_cost(out.size()));
   return out;
 }
 
 SubmodelMsg SubmodelMsg::deserialize(const std::vector<std::uint8_t>& bytes) {
-  FMS_PROFILE_ZONE("fed.decode");
-  FMS_WORK("fed.decode", obs::codec_cost(bytes.size()));
+  FMS_OP("fed.decode", obs::codec_cost(bytes.size()));
   ByteReader r(bytes);
   SubmodelMsg msg;
   msg.round = r.read<int>();
@@ -50,7 +49,7 @@ SubmodelMsg SubmodelMsg::deserialize(const std::vector<std::uint8_t>& bytes) {
 std::size_t SubmodelMsg::byte_size() const { return serialize().size(); }
 
 std::vector<std::uint8_t> UpdateMsg::serialize() const {
-  FMS_PROFILE_ZONE("fed.encode");
+  obs::ScopedOp op("fed.encode");
   ByteWriter w;
   w.write(round);
   w.write(participant);
@@ -59,13 +58,12 @@ std::vector<std::uint8_t> UpdateMsg::serialize() const {
   write_mask(w, mask);
   w.write_vector(grads);
   std::vector<std::uint8_t> out = w.take();
-  FMS_WORK("fed.encode", obs::codec_cost(out.size()));
+  op.add_cost(obs::codec_cost(out.size()));
   return out;
 }
 
 UpdateMsg UpdateMsg::deserialize(const std::vector<std::uint8_t>& bytes) {
-  FMS_PROFILE_ZONE("fed.decode");
-  FMS_WORK("fed.decode", obs::codec_cost(bytes.size()));
+  FMS_OP("fed.decode", obs::codec_cost(bytes.size()));
   ByteReader r(bytes);
   UpdateMsg msg;
   msg.round = r.read<int>();

@@ -6,7 +6,6 @@
 
 #include "src/common/check.h"
 #include "src/net/trace.h"
-#include "src/obs/profile.h"
 #include "src/obs/span.h"
 #include "src/obs/trace_ctx.h"
 #include "src/obs/work.h"
@@ -65,14 +64,9 @@ LatencyStats transmission_latency(const std::vector<std::size_t>& model_bytes,
                                   const std::vector<double>& bandwidth_bps,
                                   const std::vector<int>& assignment,
                                   bool average_size) {
-  FMS_PROFILE_ZONE("net.latency");
   const std::size_t k = bandwidth_bps.size();
+  FMS_OP("net.transmission", obs::net_transmission_cost(k));
   FMS_CHECK(assignment.size() == k && model_bytes.size() == k);
-  FMS_WORK("net.transmission", [&] {
-    std::uint64_t wire = 0;
-    for (const std::size_t b : model_bytes) wire += b;
-    return obs::net_transmission_cost(k, wire);
-  }());
   double avg_bytes = 0.0;
   for (std::size_t b : model_bytes) avg_bytes += static_cast<double>(b);
   avg_bytes /= static_cast<double>(k);

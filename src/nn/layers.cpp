@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <utility>
 
-#include "src/obs/profile.h"
 #include "src/obs/work.h"
 
 namespace fms {
@@ -13,6 +12,13 @@ namespace {
 
 // Dims come off Tensor as int; the cost models take element counts.
 inline std::size_t sz(int v) { return static_cast<std::size_t>(v); }
+
+// Output element count of a k x k, stride `stride` window over x's planes.
+std::size_t windowed_numel(const Tensor& x, int k, int stride, int padding) {
+  return sz(x.dim(0)) * sz(x.dim(1)) *
+         sz(conv_out_size(x.dim(2), k, stride, padding, 1)) *
+         sz(conv_out_size(x.dim(3), k, stride, padding, 1));
+}
 
 std::size_t numel_of(const std::vector<int>& shape) {
   std::size_t n = 1;
@@ -76,33 +82,32 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, Conv2dSpec spec,
 }
 
 Tensor Conv2d::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.conv_fwd");
-  FMS_PROFILE_BYTES(x.numel() * sizeof(float));
+  const Tensor& w = w_.value;
+  FMS_OP("nn.conv_fwd",
+         obs::conv2d_fwd_cost(
+             sz(x.dim(0)), sz(x.dim(1)), sz(x.dim(2)), sz(x.dim(3)),
+             sz(w.dim(0)), sz(w.dim(2)), sz(w.dim(3)),
+             sz(conv_out_size(x.dim(2), w.dim(2), spec_.stride, spec_.padding,
+                              spec_.dilation)),
+             sz(conv_out_size(x.dim(3), w.dim(3), spec_.stride, spec_.padding,
+                              spec_.dilation)),
+             sz(spec_.groups)));
   cached_x_ = train ? x : Tensor();
   has_cache_ = train;
-  Tensor y = conv2d_forward(x, w_.value, spec_);
-  FMS_WORK("nn.conv_fwd",
-           obs::conv2d_fwd_cost(sz(x.dim(0)), sz(x.dim(1)), sz(x.dim(2)),
-                                sz(x.dim(3)), sz(w_.value.dim(0)),
-                                sz(w_.value.dim(2)), sz(w_.value.dim(3)),
-                                sz(y.dim(2)), sz(y.dim(3)),
-                                sz(spec_.groups)));
-  return y;
+  return conv2d_forward(x, w, spec_);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.conv_bwd");
-  FMS_PROFILE_BYTES(grad_out.numel() * sizeof(float));
   FMS_CHECK_MSG(has_cache_, "Conv2d::backward without train-mode forward");
+  FMS_OP("nn.conv_bwd",
+         obs::conv2d_bwd_cost(
+             sz(cached_x_.dim(0)), sz(cached_x_.dim(1)), sz(cached_x_.dim(2)),
+             sz(cached_x_.dim(3)), sz(w_.value.dim(0)), sz(w_.value.dim(2)),
+             sz(w_.value.dim(3)), sz(grad_out.dim(2)), sz(grad_out.dim(3)),
+             sz(spec_.groups)));
   has_cache_ = false;
   const Tensor x = std::move(cached_x_);
   Conv2dGrads g = conv2d_backward(x, w_.value, grad_out, spec_);
-  FMS_WORK("nn.conv_bwd",
-           obs::conv2d_bwd_cost(
-               sz(x.dim(0)), sz(x.dim(1)), sz(x.dim(2)), sz(x.dim(3)),
-               sz(w_.value.dim(0)), sz(w_.value.dim(2)),
-               sz(w_.value.dim(3)), sz(grad_out.dim(2)),
-               sz(grad_out.dim(3)), sz(spec_.groups)));
   w_.grad += g.grad_w;
   return std::move(g.grad_x);
 }
@@ -117,13 +122,11 @@ BatchNorm2d::BatchNorm2d(int channels, float eps, float momentum)
       running_var_(Tensor::full({channels}, 1.0F)) {}
 
 Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.bn_fwd");
-  FMS_PROFILE_BYTES(x.numel() * sizeof(float));
   FMS_CHECK(x.ndim() == 4 && x.dim(1) == channels_);
   const int n = x.dim(0), c = channels_;
   const std::ptrdiff_t hw = std::ptrdiff_t{x.dim(2)} * x.dim(3);
-  FMS_WORK("nn.bn_fwd", obs::batchnorm_fwd_cost(sz(n), sz(c), sz(x.dim(2)),
-                                                sz(x.dim(3)), train));
+  FMS_OP("nn.bn_fwd", obs::batchnorm_fwd_cost(sz(n), sz(c), sz(x.dim(2)),
+                                              sz(x.dim(3)), train));
   const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(hw);
   const float* xp = x.data();
   Tensor y(x.shape());
@@ -187,9 +190,11 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.bn_bwd");
-  FMS_PROFILE_BYTES(grad_out.numel() * sizeof(float));
   FMS_CHECK_MSG(has_cache_, "BatchNorm2d::backward without train forward");
+  FMS_OP("nn.bn_bwd",
+         obs::batchnorm_bwd_cost(sz(cached_xhat_.dim(0)), sz(channels_),
+                                 sz(cached_xhat_.dim(2)),
+                                 sz(cached_xhat_.dim(3))));
   has_cache_ = false;
   const Tensor xhat = std::move(cached_xhat_);
   const std::vector<float> inv_stds = std::move(cached_inv_std_);
@@ -197,8 +202,6 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   FMS_CHECK(grad_out.same_shape(xhat));
   const int n = xhat.dim(0), c = channels_;
   const std::ptrdiff_t hw = std::ptrdiff_t{xhat.dim(2)} * xhat.dim(3);
-  FMS_WORK("nn.bn_bwd", obs::batchnorm_bwd_cost(sz(n), sz(c), sz(xhat.dim(2)),
-                                                sz(xhat.dim(3))));
   const double m = static_cast<double>(n) * static_cast<double>(hw);
   const float* gyp = grad_out.data();
   const float* xhp = xhat.data();
@@ -232,16 +235,14 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
 }
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.relu_fwd");
-  FMS_WORK("nn.relu_fwd", obs::relu_fwd_cost(x.numel()));
+  FMS_OP("nn.relu_fwd", obs::relu_fwd_cost(x.numel()));
   cached_x_ = train ? x : Tensor();
   has_cache_ = train;
   return relu_forward(x);
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.relu_bwd");
-  FMS_WORK("nn.relu_bwd", obs::relu_bwd_cost(grad_out.numel()));
+  FMS_OP("nn.relu_bwd", obs::relu_bwd_cost(grad_out.numel()));
   FMS_CHECK_MSG(has_cache_, "ReLU::backward without train-mode forward");
   has_cache_ = false;
   const Tensor x = std::move(cached_x_);
@@ -249,10 +250,11 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 }
 
 Tensor MaxPool2d::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.maxpool_fwd");
+  FMS_OP("nn.maxpool_fwd",
+         obs::maxpool_fwd_cost(x.numel(),
+                               windowed_numel(x, kernel_, stride_, padding_),
+                               sz(kernel_)));
   MaxPoolResult res = maxpool2d_forward(x, kernel_, stride_, padding_);
-  FMS_WORK("nn.maxpool_fwd",
-           obs::maxpool_fwd_cost(x.numel(), res.y.numel(), sz(kernel_)));
   cached_shape_ = train ? x.shape() : std::vector<int>();
   cached_argmax_ = train ? std::move(res.argmax) : std::vector<std::size_t>();
   has_cache_ = train;
@@ -260,54 +262,50 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.maxpool_bwd");
   FMS_CHECK_MSG(has_cache_, "MaxPool2d::backward without train forward");
+  FMS_OP("nn.maxpool_bwd",
+         obs::maxpool_bwd_cost(numel_of(cached_shape_), grad_out.numel()));
   has_cache_ = false;
   MaxPoolResult fwd;
   fwd.argmax = std::move(cached_argmax_);
   cached_argmax_.clear();
-  FMS_WORK("nn.maxpool_bwd",
-           obs::maxpool_bwd_cost(numel_of(cached_shape_), grad_out.numel()));
   return maxpool2d_backward(cached_shape_, fwd, grad_out);
 }
 
 Tensor AvgPool2d::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.avgpool_fwd");
+  FMS_OP("nn.avgpool_fwd",
+         obs::avgpool_fwd_cost(x.numel(),
+                               windowed_numel(x, kernel_, stride_, padding_),
+                               sz(kernel_)));
   cached_shape_ = train ? x.shape() : std::vector<int>();
   has_cache_ = train;
-  Tensor y = avgpool2d_forward(x, kernel_, stride_, padding_);
-  FMS_WORK("nn.avgpool_fwd",
-           obs::avgpool_fwd_cost(x.numel(), y.numel(), sz(kernel_)));
-  return y;
+  return avgpool2d_forward(x, kernel_, stride_, padding_);
 }
 
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.avgpool_bwd");
   FMS_CHECK_MSG(has_cache_, "AvgPool2d::backward without train forward");
+  FMS_OP("nn.avgpool_bwd",
+         obs::avgpool_bwd_cost(numel_of(cached_shape_), grad_out.numel(),
+                               sz(kernel_)));
   has_cache_ = false;
-  FMS_WORK("nn.avgpool_bwd",
-           obs::avgpool_bwd_cost(numel_of(cached_shape_), grad_out.numel(),
-                                 sz(kernel_)));
   return avgpool2d_backward(cached_shape_, grad_out, kernel_, stride_, padding_);
 }
 
 Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.gap_fwd");
-  FMS_WORK("nn.gap_fwd",
-           obs::global_avgpool_fwd_cost(sz(x.dim(0)), sz(x.dim(1)),
-                                        sz(x.dim(2)), sz(x.dim(3))));
+  FMS_OP("nn.gap_fwd",
+         obs::global_avgpool_fwd_cost(sz(x.dim(0)), sz(x.dim(1)),
+                                      sz(x.dim(2)), sz(x.dim(3))));
   cached_shape_ = train ? x.shape() : std::vector<int>();
   has_cache_ = train;
   return global_avgpool_forward(x);
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.gap_bwd");
   FMS_CHECK_MSG(has_cache_, "GlobalAvgPool::backward without train forward");
-  has_cache_ = false;
   const std::vector<int>& s = cached_shape_;
-  FMS_WORK("nn.gap_bwd", obs::global_avgpool_bwd_cost(sz(s[0]), sz(s[1]),
-                                                      sz(s[2]), sz(s[3])));
+  FMS_OP("nn.gap_bwd", obs::global_avgpool_bwd_cost(sz(s[0]), sz(s[1]),
+                                                    sz(s[2]), sz(s[3])));
+  has_cache_ = false;
   return global_avgpool_backward(s, grad_out);
 }
 
@@ -318,11 +316,9 @@ Linear::Linear(int in_features, int out_features, Rng& rng) {
 }
 
 Tensor Linear::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.linear_fwd");
   FMS_CHECK(x.ndim() == 2 && x.dim(1) == w_.value.dim(1));
-  FMS_WORK("nn.linear_fwd",
-           obs::linear_fwd_cost(sz(x.dim(0)), sz(x.dim(1)),
-                                sz(w_.value.dim(0))));
+  FMS_OP("nn.linear_fwd", obs::linear_fwd_cost(sz(x.dim(0)), sz(x.dim(1)),
+                                               sz(w_.value.dim(0))));
   cached_x_ = train ? x : Tensor();
   has_cache_ = train;
   Tensor y = matmul_nt(x, w_.value);  // [N, out]
@@ -334,13 +330,12 @@ Tensor Linear::forward(const Tensor& x, bool train) {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.linear_bwd");
   FMS_CHECK_MSG(has_cache_, "Linear::backward without train-mode forward");
+  FMS_OP("nn.linear_bwd", obs::linear_bwd_cost(sz(grad_out.dim(0)),
+                                               sz(w_.value.dim(1)),
+                                               sz(w_.value.dim(0))));
   has_cache_ = false;
   const Tensor x = std::move(cached_x_);
-  FMS_WORK("nn.linear_bwd",
-           obs::linear_bwd_cost(sz(grad_out.dim(0)), sz(w_.value.dim(1)),
-                                sz(w_.value.dim(0))));
   // grad_w = grad_out^T [N,out] x cached_x [N,in] -> [out,in]
   w_.grad += matmul_tn(grad_out, x);
   const int n = grad_out.dim(0), out = grad_out.dim(1);

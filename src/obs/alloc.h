@@ -4,18 +4,20 @@
 // bytes go: how many allocations a round performs, how much storage is
 // live at once, and whether rounds leak. The hooks below are called from
 // Tensor's special members (src/tensor/tensor.h) — the only tensor
-// storage in the codebase — and cost one relaxed atomic load when
-// tracking is disabled.
+// storage in the codebase — and cost one relaxed atomic load while
+// profiling is disabled: the profiler's flag gates this ledger too.
 //
-// This header is deliberately dependency-free (standard headers only) so
-// the tensor header can include it without pulling the rest of src/obs
-// into every translation unit.
+// Besides standard headers this depends only on src/obs/profile.h, so the
+// tensor header can include it without pulling the rest of src/obs into
+// every translation unit.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "src/obs/profile.h"
 
 namespace fms::obs {
 
@@ -26,11 +28,6 @@ struct TaskAlloc {
 };
 
 namespace detail {
-inline std::atomic<bool>& alloc_tracking_flag() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
 struct AllocCounters {
   std::atomic<std::uint64_t> allocs{0};
   std::atomic<std::uint64_t> frees{0};
@@ -62,14 +59,6 @@ inline void raise_peak(std::int64_t live) {
 }
 }  // namespace detail
 
-inline bool alloc_tracking_enabled() {
-  return detail::alloc_tracking_flag().load(std::memory_order_relaxed);
-}
-
-inline void set_alloc_tracking_enabled(bool on) {
-  detail::alloc_tracking_flag().store(on, std::memory_order_relaxed);
-}
-
 // Point-in-time snapshot of the tensor allocation ledger.
 struct AllocStats {
   std::uint64_t allocs = 0;       // tensor buffers allocated
@@ -79,12 +68,8 @@ struct AllocStats {
   std::int64_t peak_live_bytes = 0;
 };
 
-// Forward declaration; defined in src/obs/profile.h. Attributes tensor
-// allocations to the innermost active profiler zone, if any.
-void profile_note_alloc(std::size_t bytes);
-
 inline void track_alloc(std::size_t bytes) {
-  if (bytes == 0 || !alloc_tracking_enabled()) return;
+  if (bytes == 0 || !profiling_enabled()) return;
   detail::AllocCounters& c = detail::alloc_counters();
   c.allocs.fetch_add(1, std::memory_order_relaxed);
   c.total_bytes.fetch_add(bytes, std::memory_order_relaxed);
@@ -98,11 +83,11 @@ inline void track_alloc(std::size_t bytes) {
   } else {
     detail::raise_peak(live);
   }
-  profile_note_alloc(bytes);
+  detail::zone_note_alloc(bytes);
 }
 
 inline void track_free(std::size_t bytes) {
-  if (bytes == 0 || !alloc_tracking_enabled()) return;
+  if (bytes == 0 || !profiling_enabled()) return;
   detail::AllocCounters& c = detail::alloc_counters();
   c.frees.fetch_add(1, std::memory_order_relaxed);
   c.live_bytes.fetch_sub(static_cast<std::int64_t>(bytes),

@@ -51,7 +51,8 @@ struct Node {
   std::uint64_t calls = 0;
   std::uint64_t incl_ns = 0;
   std::uint64_t child_ns = 0;
-  std::uint64_t bytes = 0;
+  std::uint64_t costed_calls = 0;
+  OpCost cost;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t allocs = 0;
 };
@@ -125,7 +126,8 @@ struct MergedNode {
   std::uint64_t calls = 0;
   std::uint64_t incl_ns = 0;
   std::uint64_t child_ns = 0;
-  std::uint64_t bytes = 0;
+  std::uint64_t costed_calls = 0;
+  OpCost cost;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t allocs = 0;
   std::map<std::string, MergedNode> children;
@@ -137,7 +139,8 @@ void merge_thread_tree(const ThreadProfile& tp, int idx, MergedNode* into)
   into->calls += node.calls;
   into->incl_ns += node.incl_ns;
   into->child_ns += node.child_ns;
-  into->bytes += node.bytes;
+  into->costed_calls += node.costed_calls;
+  into->cost += node.cost;
   into->alloc_bytes += node.alloc_bytes;
   into->allocs += node.allocs;
   for (const auto& [child_name, child_idx] : node.children) {
@@ -149,10 +152,7 @@ void merge_thread_tree(const ThreadProfile& tp, int idx, MergedNode* into)
 // open frames stay valid), which leaves husks of earlier measurement
 // windows behind. Drop subtrees that saw no activity since the reset.
 bool merged_node_is_empty(const MergedNode& node) {
-  if (node.calls != 0 || node.bytes != 0 || node.alloc_bytes != 0 ||
-      node.allocs != 0) {
-    return false;
-  }
+  if (node.calls != 0 || node.allocs != 0) return false;
   for (const auto& [child_name, child] : node.children) {
     if (!merged_node_is_empty(child)) return false;
   }
@@ -171,7 +171,8 @@ void flatten_merged(const MergedNode& node, const std::string& path,
     z.incl_ns = node.incl_ns;
     z.excl_ns = node.incl_ns > node.child_ns ? node.incl_ns - node.child_ns
                                              : 0;
-    z.bytes = node.bytes;
+    z.costed_calls = node.costed_calls;
+    z.cost = node.cost;
     z.alloc_bytes = node.alloc_bytes;
     z.allocs = node.allocs;
     out->push_back(std::move(z));
@@ -188,12 +189,17 @@ void flatten_merged(const MergedNode& node, const std::string& path,
 
 namespace detail {
 
-void zone_enter(const char* name, bool count_call) {
+void zone_enter(const char* name, const OpCost* cost, bool count_call) {
   ThreadProfile& tp = thread_profile();
   const fms::MutexLock lock(tp.mu);
   const int parent = tp.stack.empty() ? 0 : tp.stack.back().node;
   const int idx = child_index(tp, parent, name);
-  if (count_call) tp.nodes[static_cast<std::size_t>(idx)].calls += 1;
+  Node& node = tp.nodes[static_cast<std::size_t>(idx)];
+  if (count_call) node.calls += 1;
+  if (cost != nullptr) {
+    node.costed_calls += 1;
+    node.cost += *cost;
+  }
   // Clock read last: zone time excludes the bookkeeping above.
   tp.stack.push_back(Frame{idx, thread_cpu_ns()});
 }
@@ -212,11 +218,22 @@ void zone_exit() {
   tp.nodes[static_cast<std::size_t>(node.parent)].child_ns += dur;
 }
 
-void zone_add_bytes(std::uint64_t bytes) {
+void zone_add_cost(const OpCost& cost) {
+  ThreadProfile& tp = thread_profile();
+  const fms::MutexLock lock(tp.mu);
+  if (tp.stack.empty()) return;  // no open op to book it on
+  Node& node = tp.nodes[static_cast<std::size_t>(tp.stack.back().node)];
+  node.costed_calls += 1;
+  node.cost += cost;
+}
+
+void zone_note_alloc(std::size_t bytes) {
   ThreadProfile& tp = thread_profile();
   const fms::MutexLock lock(tp.mu);
   const int idx = tp.stack.empty() ? 0 : tp.stack.back().node;
-  tp.nodes[static_cast<std::size_t>(idx)].bytes += bytes;
+  Node& node = tp.nodes[static_cast<std::size_t>(idx)];
+  node.alloc_bytes += bytes;
+  node.allocs += 1;
 }
 
 }  // namespace detail
@@ -233,16 +250,6 @@ std::vector<const char*> current_zone_path() {
   return path;
 }
 
-void profile_note_alloc(std::size_t bytes) {
-  if (!profiling_enabled()) return;
-  ThreadProfile& tp = thread_profile();
-  const fms::MutexLock lock(tp.mu);
-  const int idx = tp.stack.empty() ? 0 : tp.stack.back().node;
-  Node& node = tp.nodes[static_cast<std::size_t>(idx)];
-  node.alloc_bytes += bytes;
-  node.allocs += 1;
-}
-
 void set_profiling_enabled(bool on) {
   detail::profiling_flag().store(on, std::memory_order_relaxed);
 }
@@ -256,7 +263,8 @@ void reset_profiler() {
       node.calls = 0;
       node.incl_ns = 0;
       node.child_ns = 0;
-      node.bytes = 0;
+      node.costed_calls = 0;
+      node.cost = OpCost{};
       node.alloc_bytes = 0;
       node.allocs = 0;
     }
@@ -284,12 +292,11 @@ ProfileReport collect_profile() {
   flatten_merged(root, "", "", -1, &report.zones);
   // Allocations that happened outside any zone live on the root; surface
   // them so the ledger in the report always sums to the global one.
-  if (root.allocs > 0 || root.bytes > 0) {
+  if (root.allocs > 0) {
     ZoneStats unzoned;
     unzoned.path = "(unzoned)";
     unzoned.name = "(unzoned)";
     unzoned.depth = 0;
-    unzoned.bytes = root.bytes;
     unzoned.alloc_bytes = root.alloc_bytes;
     unzoned.allocs = root.allocs;
     report.zones.push_back(std::move(unzoned));
@@ -349,7 +356,6 @@ void emit_profile_telemetry(const ProfileReport& report) {
     event.fields.emplace_back("calls", static_cast<double>(z.calls));
     event.fields.emplace_back("incl_ns", static_cast<double>(z.incl_ns));
     event.fields.emplace_back("excl_ns", static_cast<double>(z.excl_ns));
-    event.fields.emplace_back("bytes", static_cast<double>(z.bytes));
     event.fields.emplace_back("alloc_bytes",
                               static_cast<double>(z.alloc_bytes));
     event.fields.emplace_back("allocs", static_cast<double>(z.allocs));

@@ -1,7 +1,8 @@
 // RAII scoped-span timers: FMS_SPAN("phase") measures the enclosing scope
 // and records it twice — into the `span.<phase>` histogram (p50/p95/p99
 // per phase across the run) and, when a trace sink is attached, as a JSONL
-// span event tagged with the current round.
+// span event tagged with the current round. It is also an FMS_OP zone and
+// takes the same optional cost: FMS_SPAN("dc.weight", cost).
 //
 // When telemetry is disabled the constructor reads one relaxed atomic and
 // skips the clock entirely, so instrumented hot paths cost nothing
@@ -10,6 +11,7 @@
 
 #include <chrono>
 #include <string>
+#include <utility>
 
 #include "src/obs/profile.h"
 #include "src/obs/telemetry.h"
@@ -18,12 +20,15 @@ namespace fms::obs {
 
 class ScopedSpan {
  public:
-  // The embedded ScopedZone mirrors every span into the profiler tree
+  // The embedded ScopedOp mirrors every span into the profiler tree
   // (round -> sample/transmit/.../aggregate), so the --profile self-time
   // table shows the same phase skeleton the span histograms use. It
   // checks its own enable flag: spans and profiling toggle separately.
-  explicit ScopedSpan(const char* phase)
-      : phase_(phase), zone_(phase), active_(telemetry_enabled()) {
+  template <typename... CostFn>
+  explicit ScopedSpan(const char* phase, CostFn&&... cost_fn)
+      : phase_(phase),
+        op_(phase, std::forward<CostFn>(cost_fn)...),
+        active_(telemetry_enabled()) {
     if (active_) start_ = std::chrono::steady_clock::now();
   }
 
@@ -50,14 +55,14 @@ class ScopedSpan {
 
  private:
   const char* phase_;
-  ScopedZone zone_;
+  ScopedOp op_;
   bool active_;
   std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace fms::obs
 
-#define FMS_SPAN_CONCAT_INNER(a, b) a##b
-#define FMS_SPAN_CONCAT(a, b) FMS_SPAN_CONCAT_INNER(a, b)
-#define FMS_SPAN(phase) \
-  ::fms::obs::ScopedSpan FMS_SPAN_CONCAT(fms_scoped_span_, __LINE__)(phase)
+// FMS_SPAN(phase) or FMS_SPAN(phase, cost), like FMS_OP.
+#define FMS_SPAN(...)                                                \
+  ::fms::obs::ScopedSpan FMS_OP_CONCAT(fms_scoped_span_, __LINE__)( \
+      FMS_OP_ARGS(__VA_ARGS__))

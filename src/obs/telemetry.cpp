@@ -1,10 +1,8 @@
 #include "src/obs/telemetry.h"
 
-#include "src/obs/alloc.h"
 #include "src/obs/flight.h"
 #include "src/obs/profile.h"
 #include "src/obs/trace_ctx.h"
-#include "src/obs/work.h"
 
 namespace fms::obs {
 
@@ -48,8 +46,6 @@ void Telemetry::set_label(std::string label) {
 void Telemetry::configure(const TelemetryConfig& cfg, std::uint64_t seed) {
   set_telemetry_enabled(cfg.enabled);
   set_profiling_enabled(cfg.profile);
-  set_alloc_tracking_enabled(cfg.profile);
-  set_work_tracking_enabled(cfg.work);
   // Causal tracing rides the same config: the trace context is live when
   // either a Chrome export or a flight recorder was asked for. The flight
   // dump needs a destination even when only the default was configured —

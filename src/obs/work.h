@@ -1,13 +1,13 @@
 // Per-op compute work ledger: exact FLOPs, bytes moved, and element
-// counts for every hot-path operator, recorded alongside the profiler's
-// time attribution so "where did the nanoseconds go" and "how much math
-// was that" line up call-for-call.
+// counts for every hot-path operator. FMS_OP (src/obs/profile.h) books
+// each op's OpCost on its profiler zone, so "where did the nanoseconds
+// go" and "how much math was that" come from one tree, call for call.
 //
 // The ledger is *deterministic by construction*: costs are pure
 // functions of operand shapes (never data content), recorded as integer
-// counters, and merged across threads by op name — so two runs of the
-// same seeded search produce identical ledgers, and a run with the
-// ledger enabled is bit-identical to one without (the ledger only
+// counters, and merged across threads and zone paths by op name — so two
+// runs of the same seeded search produce identical ledgers, and a run
+// with profiling on is bit-identical to one without (the ledger only
 // observes; it never touches RNG streams or float accumulation order).
 //
 // Conventions (the contract pinned by tests and DESIGN §6.3):
@@ -19,51 +19,23 @@
 //     traffic, not cache-level traffic); read-modify-write arrays count
 //     on both sides.
 //   - elements: output element count (payload bytes for codecs).
-//
-// Op names must be string literals (or otherwise outlive the ledger):
-// rows store the pointer, not a copy.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/obs/profile.h"
+
 namespace fms::obs {
 
-// One invocation's cost. Additive: recording twice doubles everything.
-struct OpCost {
-  std::uint64_t flops = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-  std::uint64_t elements = 0;
-};
-
-namespace detail {
-inline std::atomic<bool>& work_flag() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
-// Out-of-line slow path (work.cpp); called only when the ledger is on.
-void work_record_slow(const char* op, const OpCost& cost);
-}  // namespace detail
-
-inline bool work_tracking_enabled() {
-  return detail::work_flag().load(std::memory_order_relaxed);
-}
-
-void set_work_tracking_enabled(bool on);
-
-// Zeroes every op's counters on every thread.
-void reset_work_ledger();
-
-// One merged row across all threads.
+// One op merged across threads and zone paths.
 struct WorkRow {
   std::string op;
-  std::uint64_t calls = 0;
+  std::uint64_t calls = 0;    // costed calls
   OpCost cost;
+  std::uint64_t incl_ns = 0;  // CPU time of the op's zones
 };
 
 struct WorkReport {
@@ -74,8 +46,9 @@ struct WorkReport {
   OpCost total;
 };
 
-// Merges every thread's ledger into one deterministic report.
-WorkReport collect_work();
+// Sums the costed zones of `profile` by op name. reset_profiler() zeroes
+// the ledger with the rest of the tree.
+WorkReport collect_work(const ProfileReport& profile = collect_profile());
 
 // FLOPs per byte moved (read + written); 0 when no bytes moved.
 double arithmetic_intensity(const OpCost& cost);
@@ -147,21 +120,13 @@ OpCost dc_compensate_cost(std::size_t dim);
 // Message encode/decode: pure data movement, flops = 0.
 OpCost codec_cost(std::size_t payload_bytes);
 
-// Transmission scheduling over k links: bytes_written is the simulated
-// wire traffic (the sum of scheduled model bytes), elements = k links.
-OpCost net_transmission_cost(std::size_t k, std::uint64_t wire_bytes);
+// Transmission latency over k links: the per-link arrays it reads (model
+// bytes, bandwidth, assignment) and the latency it writes, elements = k
+// links. The simulated wire bytes are not memory traffic and are not
+// booked here (RoundRecord carries them).
+OpCost net_transmission_cost(std::size_t k);
 
 // ceil(log2(n)) for n >= 1; the sort-cost exponent in the agg models.
 std::size_t ceil_log2(std::size_t n);
 
 }  // namespace fms::obs
-
-// Records `cost` under `op` when the ledger is enabled. The cost
-// expression is evaluated only when tracking is on, so recording sites
-// are free in the disabled (default) state.
-#define FMS_WORK(op, cost)                                   \
-  do {                                                       \
-    if (::fms::obs::work_tracking_enabled()) {               \
-      ::fms::obs::detail::work_record_slow((op), (cost));    \
-    }                                                        \
-  } while (false)

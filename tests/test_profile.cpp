@@ -1,6 +1,6 @@
 // Tests for the in-process profiler and the tensor allocation ledger
-// (src/obs/profile.*, src/obs/alloc.h): zone-tree structure and
-// exclusive/inclusive time bookkeeping, exact and deterministic
+// (src/obs/profile.*, src/obs/alloc.h): zone-tree structure,
+// exclusive/inclusive time and op-cost bookkeeping, exact and deterministic
 // allocation accounting across federated rounds (including a checkpoint
 // resume), the telemetry emission path, and — the load-bearing guarantee
 // — bit-identical search results with profiling on versus off.
@@ -19,6 +19,7 @@
 #include "src/obs/profile.h"
 #include "src/obs/sinks.h"
 #include "src/obs/telemetry.h"
+#include "src/obs/work.h"
 #include "src/tensor/tensor.h"
 
 namespace fms {
@@ -31,7 +32,6 @@ class ProfileTest : public ::testing::Test {
   void SetUp() override {
     obs::set_telemetry_enabled(false);
     obs::set_profiling_enabled(false);
-    obs::set_alloc_tracking_enabled(false);
     obs::reset_profiler();
     obs::reset_alloc_stats();
     obs::Telemetry::instance().clear_sinks();
@@ -81,14 +81,12 @@ TEST_F(ProfileTest, ZoneTreeTracksNestingCallsAndExclusiveTime) {
   obs::set_profiling_enabled(true);
   obs::reset_profiler();
   for (int i = 0; i < 3; ++i) {
-    FMS_PROFILE_ZONE("outer");
-    FMS_PROFILE_BYTES(100);
+    FMS_OP("outer", obs::axpy_cost(100));
     {
-      FMS_PROFILE_ZONE("inner");
-      FMS_PROFILE_BYTES(10);
+      FMS_OP("inner", obs::axpy_cost(10));
     }
     {
-      FMS_PROFILE_ZONE("inner");
+      FMS_OP("inner");
     }
   }
   const obs::ProfileReport report = obs::collect_profile();
@@ -102,8 +100,13 @@ TEST_F(ProfileTest, ZoneTreeTracksNestingCallsAndExclusiveTime) {
   EXPECT_EQ(inner->calls, 6U);
   EXPECT_EQ(outer->depth, 0);
   EXPECT_EQ(inner->depth, 1);
-  EXPECT_EQ(outer->bytes, 300U);
-  EXPECT_EQ(inner->bytes, 30U);  // only the first inner block adds bytes
+  // Cost lands on the op's own zone, never on its parent or children.
+  EXPECT_EQ(outer->costed_calls, 3U);
+  EXPECT_EQ(outer->cost.flops, 300U);
+  EXPECT_EQ(outer->cost.bytes_written, 4U * 300);
+  EXPECT_EQ(inner->costed_calls, 3U);  // only the first inner block costs
+  EXPECT_EQ(inner->cost.flops, 30U);
+  EXPECT_EQ(inner->cost.elements, 30U);
   // Exclusive time is inclusive minus the children's inclusive, exactly.
   EXPECT_GE(outer->incl_ns, inner->incl_ns);
   EXPECT_EQ(outer->excl_ns, outer->incl_ns - inner->incl_ns);
@@ -114,10 +117,10 @@ TEST_F(ProfileTest, CollectIsDeterministicAndSelfTimeTableRenders) {
   obs::set_profiling_enabled(true);
   obs::reset_profiler();
   {
-    FMS_PROFILE_ZONE("b_zone");
-    { FMS_PROFILE_ZONE("child"); }
+    FMS_OP("b_zone");
+    { FMS_OP("child"); }
   }
-  { FMS_PROFILE_ZONE("a_zone"); }
+  { FMS_OP("a_zone"); }
   const obs::ProfileReport first = obs::collect_profile();
   const obs::ProfileReport second = obs::collect_profile();
   obs::set_profiling_enabled(false);
@@ -141,7 +144,7 @@ TEST_F(ProfileTest, CollectIsDeterministicAndSelfTimeTableRenders) {
 }
 
 TEST_F(ProfileTest, LedgerCountsTensorLifecyclesExactly) {
-  obs::set_alloc_tracking_enabled(true);
+  obs::set_profiling_enabled(true);
   obs::reset_alloc_stats();
   {
     Tensor a({64}, 1.0F);            // 256 B
@@ -152,7 +155,7 @@ TEST_F(ProfileTest, LedgerCountsTensorLifecyclesExactly) {
     (void)c;
   }
   const obs::AllocStats s = obs::alloc_stats();
-  obs::set_alloc_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   EXPECT_EQ(s.allocs, 4U);  // a, copy, d, d=a
   EXPECT_EQ(s.frees, 4U);   // d's old storage + 3 live tensors at scope end
@@ -178,7 +181,7 @@ TEST_F(ProfileTest, SearchAllocCountsAreExactReproducibleAndLeakFree) {
     w.cfg.supernet.num_cells = 1;
     w.cfg.supernet.num_nodes = 1;
     FederatedSearch search(w.cfg, w.data.train, w.partition);
-    obs::set_alloc_tracking_enabled(true);
+    obs::set_profiling_enabled(true);
     obs::reset_alloc_stats();
     search.run_warmup(1);
     search.run_search(25, opts);  // warm phase: saturates every op cache
@@ -189,7 +192,7 @@ TEST_F(ProfileTest, SearchAllocCountsAreExactReproducibleAndLeakFree) {
     }
     per_run.push_back(obs::alloc_stats());
     per_round_live.push_back(live);
-    obs::set_alloc_tracking_enabled(false);
+    obs::set_profiling_enabled(false);
     obs::reset_alloc_stats();
   }
 
@@ -216,21 +219,21 @@ TEST_F(ProfileTest, ResumedSearchMatchesOriginalAllocCounters) {
   original.run_search(1, opts);
   const SearchCheckpoint ckpt = original.checkpoint();
 
-  obs::set_alloc_tracking_enabled(true);
+  obs::set_profiling_enabled(true);
   obs::reset_alloc_stats();
   const std::vector<RoundRecord> tail = original.run_search(2, opts);
   const obs::AllocStats original_delta = obs::alloc_stats();
-  obs::set_alloc_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
   obs::reset_alloc_stats();
 
   TinyWorld w2 = make_tiny_world(91);
   FederatedSearch resumed(w2.cfg, w2.data.train, w2.partition);
   resumed.restore(ckpt);
-  obs::set_alloc_tracking_enabled(true);
+  obs::set_profiling_enabled(true);
   obs::reset_alloc_stats();
   const std::vector<RoundRecord> replay = resumed.run_search(2, opts);
   const obs::AllocStats resumed_delta = obs::alloc_stats();
-  obs::set_alloc_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
   obs::reset_alloc_stats();
 
   // Allocation traffic (new tensors, bytes) must match the original
@@ -246,11 +249,11 @@ TEST_F(ProfileTest, ResumedSearchMatchesOriginalAllocCounters) {
   TinyWorld w3 = make_tiny_world(91);
   FederatedSearch resumed2(w3.cfg, w3.data.train, w3.partition);
   resumed2.restore(ckpt);
-  obs::set_alloc_tracking_enabled(true);
+  obs::set_profiling_enabled(true);
   obs::reset_alloc_stats();
   resumed2.run_search(2, opts);
   const obs::AllocStats resumed2_delta = obs::alloc_stats();
-  obs::set_alloc_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
   obs::reset_alloc_stats();
   EXPECT_EQ(resumed_delta.allocs, resumed2_delta.allocs);
   EXPECT_EQ(resumed_delta.frees, resumed2_delta.frees);
@@ -273,14 +276,12 @@ TEST_F(ProfileTest, ProfilingOnVersusOffIsBitIdentical) {
     TinyWorld w = make_tiny_world(55);
     FederatedSearch search(w.cfg, w.data.train, w.partition);
     obs::set_profiling_enabled(profiled);
-    obs::set_alloc_tracking_enabled(profiled);
     obs::reset_profiler();
     obs::reset_alloc_stats();
     search.run_warmup(1);
     std::vector<RoundRecord> records = search.run_search(3, opts);
     const Genotype genotype = search.derive();
     obs::set_profiling_enabled(false);
-    obs::set_alloc_tracking_enabled(false);
     return std::make_pair(std::move(records), genotype.to_string());
   };
   const auto off = run(false);
@@ -355,8 +356,8 @@ TEST_F(ProfileTest, PoolTasksNestUnderTheSubmittingZone) {
   obs::reset_profiler();
   ThreadPool pool(4);
   {
-    FMS_PROFILE_ZONE("submit");
-    pool.parallel_for(8, [](std::size_t) { FMS_PROFILE_ZONE("task"); });
+    FMS_OP("submit", obs::axpy_cost(1));
+    pool.parallel_for(8, [](std::size_t) { FMS_OP("task"); });
   }
   const obs::ProfileReport report = obs::collect_profile();
   obs::set_profiling_enabled(false);
@@ -365,8 +366,10 @@ TEST_F(ProfileTest, PoolTasksNestUnderTheSubmittingZone) {
   const obs::ZoneStats* task = find_zone(report, "submit/task");
   ASSERT_NE(submit, nullptr);
   ASSERT_NE(task, nullptr);
-  // Workers re-open "submit" without counting it a second time.
+  // Workers re-open "submit" without counting or costing it again.
   EXPECT_EQ(submit->calls, 1U);
+  EXPECT_EQ(submit->costed_calls, 1U);
+  EXPECT_EQ(submit->cost.flops, 1U);
   EXPECT_EQ(task->calls, 8U);
   EXPECT_EQ(find_zone(report, "task"), nullptr);
 }
@@ -380,7 +383,7 @@ TEST_F(ProfileTest, PoolPeakLiveBytesFollowTheSerialSchedule) {
     SCOPED_TRACE("workers " + std::to_string(workers));
     ThreadPool pool(workers);
     std::vector<Tensor> kept(kTasks);
-    obs::set_alloc_tracking_enabled(true);
+    obs::set_profiling_enabled(true);
     obs::reset_alloc_stats();
     pool.parallel_for(kTasks, [](std::size_t i) {
       const Tensor scratch({static_cast<int>(i + 1), 256});
@@ -392,7 +395,7 @@ TEST_F(ProfileTest, PoolPeakLiveBytesFollowTheSerialSchedule) {
     EXPECT_EQ(obs::alloc_stats().peak_live_bytes, 36 * 1024);
     EXPECT_EQ(obs::alloc_stats().live_bytes, 36 * 1024);
     kept.clear();
-    obs::set_alloc_tracking_enabled(false);
+    obs::set_profiling_enabled(false);
   }
 }
 
@@ -411,7 +414,7 @@ TEST_F(ProfileTest, TrainStepLeavesOnlyTheReplicaLive) {
   msg.mask.reduce = msg.mask.normal;
   msg.values = server.gather_values(server.masked_param_ids(msg.mask));
 
-  obs::set_alloc_tracking_enabled(true);
+  obs::set_profiling_enabled(true);
   obs::reset_alloc_stats();
   SearchParticipant participant(0, Shard(&w.data.train, w.partition[0]),
                                 w.cfg.supernet, w.cfg.augment,

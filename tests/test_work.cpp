@@ -1,9 +1,10 @@
 // Tests for the deterministic work ledger and the machine-peak
 // calibration (src/obs/work.*, src/obs/roofline.*): exact pinned
 // FLOP/byte counts for known shapes, ledger accumulation / merge /
-// reset semantics, coverage of the search hot path, the peak JSON
-// sidecar round-trip, and — the load-bearing guarantee — bit-identical
-// search results with the ledger on versus off.
+// reset semantics, coverage of the search hot path, a ledger identical
+// across thread counts, the peak JSON sidecar round-trip, and — the
+// load-bearing guarantee — bit-identical search results with profiling
+// (and so the ledger) on versus off.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include "src/core/search.h"
 #include "src/data/synth.h"
 #include "src/fed/messages.h"
+#include "src/net/transmission.h"
 #include "src/obs/roofline.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/work.h"
@@ -23,14 +25,14 @@
 namespace fms {
 namespace {
 
-// Every test drives the process-global ledger flag; start and end clean
+// Every test drives the process-global profiling flag; start and end clean
 // so ordering between tests (and other test files) is moot.
 class WorkTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_telemetry_enabled(false);
-    obs::set_work_tracking_enabled(false);
-    obs::reset_work_ledger();
+    obs::set_profiling_enabled(false);
+    obs::reset_profiler();
     obs::Telemetry::instance().clear_sinks();
     obs::Telemetry::instance().registry().reset();
   }
@@ -132,14 +134,14 @@ TEST_F(WorkTest, CostModelsArePinnedForKnownShapes) {
 }
 
 TEST_F(WorkTest, LedgerAccumulatesMergesDeterministicallyAndResets) {
-  obs::set_work_tracking_enabled(true);
-  obs::reset_work_ledger();
-  FMS_WORK("test.op_b", obs::matmul_cost(2, 3, 4));
-  FMS_WORK("test.op_a", obs::axpy_cost(10));
-  FMS_WORK("test.op_b", obs::matmul_cost(2, 3, 4));
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  { FMS_OP("test.op_b", obs::matmul_cost(2, 3, 4)); }
+  { FMS_OP("test.op_a", obs::axpy_cost(10)); }
+  { FMS_OP("test.op_b", obs::matmul_cost(2, 3, 4)); }
   const obs::WorkReport first = obs::collect_work();
   const obs::WorkReport second = obs::collect_work();
-  obs::set_work_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   ASSERT_EQ(first.rows.size(), 2U);
   // Rows come back in lexicographic op order regardless of record order.
@@ -159,7 +161,7 @@ TEST_F(WorkTest, LedgerAccumulatesMergesDeterministicallyAndResets) {
     EXPECT_EQ(first.rows[i].cost.flops, second.rows[i].cost.flops);
   }
 
-  obs::reset_work_ledger();
+  obs::reset_profiler();
   EXPECT_TRUE(obs::collect_work().rows.empty());
   EXPECT_EQ(obs::collect_work().total_calls, 0U);
 }
@@ -170,19 +172,19 @@ TEST_F(WorkTest, DisabledLedgerRecordsNothingAndEvaluatesNoCost) {
     ++evaluations;
     return obs::axpy_cost(8);
   };
-  FMS_WORK("test.never", costed());
+  { FMS_OP("test.never", costed()); }
   EXPECT_EQ(evaluations, 0);  // cost expression must not run when off
   EXPECT_TRUE(obs::collect_work().rows.empty());
 }
 
 TEST_F(WorkTest, TensorAxpyIsRecorded) {
-  obs::set_work_tracking_enabled(true);
-  obs::reset_work_ledger();
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
   Tensor a({64}, 1.0F);
   const Tensor b({64}, 2.0F);
   a += b;
   const obs::WorkReport report = obs::collect_work();
-  obs::set_work_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   const obs::WorkRow* axpy = find_op(report, "tensor.axpy");
   ASSERT_NE(axpy, nullptr);
@@ -200,13 +202,13 @@ TEST_F(WorkTest, SearchLedgerCoversHotOpsAndOnOffIsBitIdentical) {
   auto run = [&](bool tracked) {
     TinyWorld w = make_tiny_world(55);
     FederatedSearch search(w.cfg, w.data.train, w.partition);
-    obs::set_work_tracking_enabled(tracked);
-    obs::reset_work_ledger();
+    obs::set_profiling_enabled(tracked);
+    obs::reset_profiler();
     search.run_warmup(1);
     std::vector<RoundRecord> records = search.run_search(3, opts);
     const Genotype genotype = search.derive();
     if (tracked) on_report = obs::collect_work();
-    obs::set_work_tracking_enabled(false);
+    obs::set_profiling_enabled(false);
     return std::make_pair(std::move(records), genotype.to_string());
   };
   const auto off = run(false);
@@ -239,13 +241,13 @@ TEST_F(WorkTest, SearchLedgerIsReproducibleAcrossRuns) {
   for (int run = 0; run < 2; ++run) {
     TinyWorld w = make_tiny_world(77);
     FederatedSearch search(w.cfg, w.data.train, w.partition);
-    obs::set_work_tracking_enabled(true);
-    obs::reset_work_ledger();
+    obs::set_profiling_enabled(true);
+    obs::reset_profiler();
     search.run_warmup(1);
     search.run_search(2, opts);
     reports.push_back(obs::collect_work());
-    obs::set_work_tracking_enabled(false);
-    obs::reset_work_ledger();
+    obs::set_profiling_enabled(false);
+    obs::reset_profiler();
   }
   ASSERT_EQ(reports[0].rows.size(), reports[1].rows.size());
   for (std::size_t i = 0; i < reports[0].rows.size(); ++i) {
@@ -261,11 +263,86 @@ TEST_F(WorkTest, SearchLedgerIsReproducibleAcrossRuns) {
   }
 }
 
+TEST_F(WorkTest, LedgerAndZoneCallsAreIdenticalAcrossThreadCounts) {
+  // With threads > 1 participants train on pool workers, which re-open
+  // the submitting thread's zone path (ZonePathScope). Those re-opened
+  // zones must add neither calls nor cost: the ledger and every zone's
+  // call counts match the serial run exactly.
+  SearchOptions opts;
+  auto run = [&](int threads) {
+    TinyWorld w = make_tiny_world(63);
+    w.cfg.threads = threads;
+    FederatedSearch search(w.cfg, w.data.train, w.partition);
+    obs::set_profiling_enabled(true);
+    obs::reset_profiler();
+    search.run_warmup(1);
+    search.run_search(2, opts);
+    const obs::ProfileReport profile = obs::collect_profile();
+    obs::set_profiling_enabled(false);
+    return profile;
+  };
+  const obs::ProfileReport serial = run(1);
+  const obs::ProfileReport parallel = run(4);
+
+  const obs::WorkReport a = obs::collect_work(serial);
+  const obs::WorkReport b = obs::collect_work(parallel);
+  ASSERT_FALSE(a.rows.empty());
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    SCOPED_TRACE(a.rows[i].op);
+    EXPECT_EQ(a.rows[i].op, b.rows[i].op);
+    EXPECT_EQ(a.rows[i].calls, b.rows[i].calls);
+    EXPECT_EQ(a.rows[i].cost.flops, b.rows[i].cost.flops);
+    EXPECT_EQ(a.rows[i].cost.bytes_read, b.rows[i].cost.bytes_read);
+    EXPECT_EQ(a.rows[i].cost.bytes_written, b.rows[i].cost.bytes_written);
+    EXPECT_EQ(a.rows[i].cost.elements, b.rows[i].cost.elements);
+  }
+  ASSERT_EQ(serial.zones.size(), parallel.zones.size());
+  for (std::size_t i = 0; i < serial.zones.size(); ++i) {
+    SCOPED_TRACE(serial.zones[i].path);
+    EXPECT_EQ(serial.zones[i].path, parallel.zones[i].path);
+    EXPECT_EQ(serial.zones[i].calls, parallel.zones[i].calls);
+    EXPECT_EQ(serial.zones[i].costed_calls, parallel.zones[i].costed_calls);
+  }
+}
+
+TEST_F(WorkTest, NetTransmissionBooksLinkArraysNotWireBytes) {
+  // Per link the latency model reads model_bytes, bandwidth_bps and
+  // assignment and writes one latency. The simulated wire payload is not
+  // memory traffic: 50 MiB models cost what 50 B ones do.
+  const std::uint64_t per_link_in =
+      sizeof(std::size_t) + sizeof(double) + sizeof(int);
+  const obs::OpCost cost = obs::net_transmission_cost(50);
+  EXPECT_EQ(cost.flops, 200U);
+  EXPECT_EQ(cost.bytes_read, 50U * per_link_in);
+  EXPECT_EQ(cost.bytes_written, 50U * sizeof(double));
+  EXPECT_EQ(cost.elements, 50U);
+
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  const std::vector<std::size_t> model_bytes(4, std::size_t{50} << 20);
+  const LatencyStats stats = transmission_latency(
+      model_bytes, std::vector<double>(4, 1e6), {0, 1, 2, 3}, false);
+  const obs::ProfileReport profile = obs::collect_profile();
+  obs::set_profiling_enabled(false);
+
+  EXPECT_GT(stats.max_seconds, 0.0);
+  const obs::WorkReport work = obs::collect_work(profile);
+  const obs::WorkRow* row = find_op(work, "net.transmission");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->calls, 1U);
+  EXPECT_EQ(row->cost.bytes_read, 4U * per_link_in);
+  EXPECT_EQ(row->cost.bytes_written, 4U * sizeof(double));
+  // One op, one name: the zone that times it is the one that costs it.
+  ASSERT_EQ(profile.zones.size(), 1U);
+  EXPECT_EQ(profile.zones[0].path, "net.transmission");
+}
+
 TEST_F(WorkTest, MessageCodecsRecordPayloadBytes) {
   // Wire codecs move bytes, not FLOPs: each serialize/deserialize books
   // the payload once on each side of the convention.
-  obs::set_work_tracking_enabled(true);
-  obs::reset_work_ledger();
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
   UpdateMsg msg;
   msg.round = 3;
   msg.participant = 1;
@@ -274,7 +351,7 @@ TEST_F(WorkTest, MessageCodecsRecordPayloadBytes) {
   const std::vector<std::uint8_t> wire = msg.serialize();
   const UpdateMsg back = UpdateMsg::deserialize(wire);
   const obs::WorkReport report = obs::collect_work();
-  obs::set_work_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   EXPECT_EQ(back.round, 3);
   const obs::WorkRow* enc = find_op(report, "fed.encode");
@@ -289,12 +366,12 @@ TEST_F(WorkTest, MessageCodecsRecordPayloadBytes) {
 }
 
 TEST_F(WorkTest, WorkTableRendersSortedByFlops) {
-  obs::set_work_tracking_enabled(true);
-  obs::reset_work_ledger();
-  FMS_WORK("test.light", obs::axpy_cost(4));
-  FMS_WORK("test.heavy", obs::matmul_cost(64, 64, 64));
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  { FMS_OP("test.light", obs::axpy_cost(4)); }
+  { FMS_OP("test.heavy", obs::matmul_cost(64, 64, 64)); }
   const obs::WorkReport report = obs::collect_work();
-  obs::set_work_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   const std::string table = obs::work_table(report);
   EXPECT_NE(table.find("mflops"), std::string::npos);
@@ -306,11 +383,11 @@ TEST_F(WorkTest, WorkTableRendersSortedByFlops) {
 }
 
 TEST_F(WorkTest, EmitWorkTelemetrySetsPerOpGauges) {
-  obs::set_work_tracking_enabled(true);
-  obs::reset_work_ledger();
-  FMS_WORK("test.emit", obs::matmul_cost(2, 3, 4));
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  { FMS_OP("test.emit", obs::matmul_cost(2, 3, 4)); }
   const obs::WorkReport report = obs::collect_work();
-  obs::set_work_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   obs::set_telemetry_enabled(true);
   obs::emit_work_telemetry(report);

@@ -237,40 +237,30 @@ std::vector<BenchResult> run_benchmarks(
     result.p90_ns = percentile(per_iter_ns, 0.9);
 
     if (opts.accounting_pass) {
-      // Untimed instrumented repetition: alloc ledger + zone tree. Saved
-      // and restored around the pass so the harness composes with
-      // externally enabled profiling.
+      // Untimed instrumented repetition: zone tree, op cost and alloc
+      // ledger. Saved and restored around the pass so the harness
+      // composes with externally enabled profiling.
       const bool prof_was = obs::profiling_enabled();
-      const bool alloc_was = obs::alloc_tracking_enabled();
-      const bool work_was = obs::work_tracking_enabled();
       const obs::AllocStats before_stats = obs::alloc_stats();
       obs::set_profiling_enabled(true);
-      obs::set_alloc_tracking_enabled(true);
-      obs::set_work_tracking_enabled(true);
       obs::reset_profiler();
       obs::reset_alloc_stats();
-      obs::reset_work_ledger();
       for (int i = 0; i < bench.iters; ++i) iteration();
       const obs::AllocStats after = obs::alloc_stats();
       result.bytes_alloc = after.total_bytes;
       result.allocs = after.allocs;
-      const obs::WorkReport work = obs::collect_work();
+      // collect_profile drops the zeroed husks reset_profiler leaves.
+      const obs::ProfileReport report = obs::collect_profile();
+      const obs::WorkReport work = obs::collect_work(report);
       result.flops = work.total.flops;
       result.bytes_read = work.total.bytes_read;
       result.bytes_written = work.total.bytes_written;
-      const obs::ProfileReport report = obs::collect_profile();
       for (const obs::ZoneStats& z : report.zones) {
-        // reset_profiler keeps the merged tree's shape, so zones from
-        // earlier benchmarks reappear with zeroed counters; skip them.
-        if (z.calls == 0 && z.allocs == 0) continue;
         result.zones[z.path] = ZoneSummary{z.calls, z.incl_ns, z.excl_ns};
       }
       obs::set_profiling_enabled(prof_was);
-      obs::set_alloc_tracking_enabled(alloc_was);
-      obs::set_work_tracking_enabled(work_was);
       obs::restore_alloc_stats(before_stats);
       obs::reset_profiler();
-      obs::reset_work_ledger();
     }
 
     if (log) {
